@@ -2,9 +2,11 @@
 
 Every subcommand emits a single JSON document (schema "simplest-fields/1"):
 all integers are serialized as decimal strings and rationals as
-{"num": ..., "den": ...} objects so consumers never overflow.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 parameter outside the
-certified hypotheses.
+{"num": ..., "den": ...} objects so consumers never overflow.  Exit codes
+and document statuses: 0 "ok", 1 "fail" (verification failure), 2
+"usage-error" (an argument the library rejects with ValueError; argparse
+rejects malformed command lines with exit 2 before any document), 3
+"not-covered" (parameter outside the certified hypotheses).
 """
 
 import argparse
@@ -51,12 +53,19 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
-def _emit(args, command: dict, status: str, result: dict, started: float) -> None:
+def _command(args) -> dict:
+    """The parsed arguments that define the run (everything but --out)."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+
+
+def _emit(args, status: str, started: float, **fields) -> None:
+    """Write the document for one outcome: a `result` on ok and fail, an
+    `error` message on usage-error and not-covered."""
     doc = {
         "schema": SCHEMA,
-        "command": _jsonable(command),
+        "command": _jsonable(_command(args)),
         "status": status,
-        "result": _jsonable(result),
+        **{k: _jsonable(v) for k, v in fields.items()},
         "timing_ms": round((time.monotonic() - started) * 1000, 3),
     }
     text = json.dumps(doc, indent=2)
@@ -67,9 +76,7 @@ def _emit(args, command: dict, status: str, result: dict, started: float) -> Non
         print(text)
 
 
-def cmd_family(args) -> int:
-    started = time.monotonic()
-    command = {"subcommand": "family", "n": args.n, "t": args.t, "symbolic": args.symbolic}
+def cmd_family(args, started: float) -> int:
     if args.symbolic or args.t is None:
         fam = family_poly(args.n)
         result = {
@@ -83,13 +90,11 @@ def cmd_family(args) -> int:
             "family_coeffs": list(sp.poly.coeffs),
             "companion_coeffs": list(companion_poly(args.n).coeffs),
         }
-    _emit(args, command, "ok", result, started)
+    _emit(args, "ok", started, result=result)
     return EXIT_OK
 
 
-def cmd_identities(args) -> int:
-    started = time.monotonic()
-    command = {"subcommand": "identities", "n_max": args.n_max, "seed": args.seed, "trials": args.trials}
+def cmd_identities(args, started: float) -> int:
     results = run_identity_suite(args.n_max, seed=args.seed, trials=args.trials)
     failures = [r for r in results if not r.ok]
     result = {
@@ -97,7 +102,7 @@ def cmd_identities(args) -> int:
         "failures": [{"name": r.name, "detail": r.detail} for r in failures],
         "items": [{"name": r.name, "ok": r.ok} for r in results],
     }
-    _emit(args, command, "ok" if not failures else "fail", result, started)
+    _emit(args, "ok" if not failures else "fail", started, result=result)
     return EXIT_OK if not failures else EXIT_VERIFICATION_FAILURE
 
 
@@ -110,15 +115,7 @@ def _order_payload(o) -> dict:
     }
 
 
-def cmd_integral_basis(args) -> int:
-    started = time.monotonic()
-    command = {
-        "subcommand": "integral-basis",
-        "n": args.n,
-        "t": args.t,
-        "strategy": args.strategy,
-        "gate": args.gate,
-    }
+def cmd_integral_basis(args, started: float) -> int:
     field = number_field(args.n, args.t)
     strategies = ["enumerate", "radical"] if args.strategy == "both" else [args.strategy]
     orders = {s: integral_basis(field, strategy=s, gate=args.gate) for s in strategies}
@@ -130,13 +127,11 @@ def cmd_integral_basis(args) -> int:
         "orders": {s: _order_payload(o) for s, o in orders.items()},
         "strategies_agree": agree,
     }
-    _emit(args, command, "ok" if agree else "fail", result, started)
+    _emit(args, "ok" if agree else "fail", started, result=result)
     return EXIT_OK if agree else EXIT_VERIFICATION_FAILURE
 
 
-def cmd_dual_basis(args) -> int:
-    started = time.monotonic()
-    command = {"subcommand": "dual-basis", "n": args.n, "t": args.t}
+def cmd_dual_basis(args, started: float) -> int:
     db = dual_basis(number_field(args.n, args.t))
     result = {
         "matrix": [list(row) for row in db.matrix],
@@ -144,7 +139,7 @@ def cmd_dual_basis(args) -> int:
         "denominator_law_ok": db.law_ok,
     }
     ok = db.law_ok is not False
-    _emit(args, command, "ok" if ok else "fail", result, started)
+    _emit(args, "ok" if ok else "fail", started, result=result)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
 
 
@@ -163,19 +158,7 @@ def _scan_payload(report) -> dict:
     }
 
 
-def cmd_period_scan(args) -> int:
-    started = time.monotonic()
-    command = {
-        "subcommand": "period-scan",
-        "n": args.n,
-        "modulus": args.modulus,
-        "t_min": args.t_min,
-        "t_max": args.t_max,
-        "strategy": args.strategy,
-        "gate": args.gate,
-        "workers": args.workers,
-        "residues": args.residues,
-    }
+def cmd_period_scan(args, started: float) -> int:
     report = period_scan(
         args.n,
         args.modulus,
@@ -189,20 +172,11 @@ def cmd_period_scan(args) -> int:
     if args.modulus > 1:
         witnesses = minimality_witness(args.n, args.modulus, report)
         payload["minimality_witnesses"] = {str(p): list(w) if w else None for p, w in witnesses.items()}
-    _emit(args, command, "ok" if report.consistent else "fail", payload, started)
+    _emit(args, "ok" if report.consistent else "fail", started, result=payload)
     return EXIT_OK if report.consistent else EXIT_VERIFICATION_FAILURE
 
 
-def cmd_verify_tables(args) -> int:
-    started = time.monotonic()
-    command = {
-        "subcommand": "verify-tables",
-        "scope": args.scope,
-        "t_max": args.t_max,
-        "samples": args.samples,
-        "classes_12": args.classes_12,
-        "workers": args.workers,
-    }
+def cmd_verify_tables(args, started: float) -> int:
     result: dict = {}
     ok = True
 
@@ -260,7 +234,7 @@ def cmd_verify_tables(args) -> int:
             ok = ok and report.consistent
         result["final_period_table"] = scans
 
-    _emit(args, command, "ok" if ok else "fail", result, started)
+    _emit(args, "ok" if ok else "fail", started, result=result)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
 
 
@@ -326,11 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except ParameterNotCoveredError as exc:
-        print(json.dumps({"schema": SCHEMA, "status": "not-covered", "error": str(exc)}, indent=2))
+        return args.func(args, started)
+    except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
+        _emit(args, "not-covered", started, error=str(exc))
         return EXIT_NOT_COVERED
+    except ValueError as exc:
+        _emit(args, "usage-error", started, error=str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

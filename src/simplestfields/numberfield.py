@@ -2,19 +2,21 @@
 
 A field element is an integer coordinate vector over the power basis
 1, beta, ..., beta^(n-1) together with a positive denominator.  The
-characteristic polynomial is computed through the resultant kernel
-(interpolated over integer evaluation points), so the integrality test
-never touches floating point or rational linear algebra.
+characteristic polynomial is computed through the resultant kernel at the
+integer points 0..n and interpolated through an inverse Vandermonde matrix
+kept per length as an integer matrix over one denominator, so the
+integrality test is integer arithmetic only.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ._kernels import zx_resultant, zx_trim
 from .family import SpecializedPoly, disc_quadratic, discriminant_formula_t, parameter_value, specialize
-from .numutil import factorize, p_adic_valuation
+from .linalg import rat_matrix_inverse
+from .numutil import factorize
 from .poly import Poly, discriminant
 
 
@@ -93,45 +95,36 @@ def char_poly(e: FieldElt) -> Poly:
         # rational element a0/d: characteristic polynomial (Y - a0/d)^n
         return Poly([Fraction(-a[0], d), Fraction(1)]) ** n
     values = []
-    points = list(range(n + 1))
-    for y in points:
+    for y in range(n + 1):
         g = list(a)
         g[0] -= d * y
         values.append(zx_resultant(f, [-c for c in g]))
-    r_poly = _interpolate_int(points, values)
+    r_poly = _interpolate_int(values)
     dn = d**n
     return Poly([Fraction(c, dn) for c in r_poly])
 
 
-def _interpolate_int(xs: list[int], ys: list[int]) -> list[int]:
-    """Integer-coefficient polynomial through the given points (coefficients
-    are asserted integral)."""
-    coeffs = [Fraction(0)] * len(xs)
-    for xi, yi in zip(xs, ys):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for xj in xs:
-            if xj == xi:
-                continue
-            num = _lin_mul(num, -xj)
-            den *= xi - xj
-        w = Fraction(yi) / den
-        for k, c in enumerate(num):
-            coeffs[k] += w * c
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, D) with M / D the inverse of V[i][j] = i^j for 0 <= i, j < k, M
+    integral and D the common denominator.  One entry per interpolation
+    length, and the lengths in use are bounded by twice the field degree."""
+    inv = rat_matrix_inverse([[Fraction(i**j) for j in range(k)] for i in range(k)])
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in inv), d
+
+
+def _interpolate_int(ys: list[int]) -> list[int]:
+    """Integer coefficients, lowest degree first, of the polynomial of degree
+    below len(ys) taking the value ys[i] at i = 0, 1, ... (coefficients are
+    asserted integral)."""
+    m, d = _inverse_vandermonde(len(ys))
     out = []
-    for c in coeffs:
-        if c.denominator != 1:
+    for row in m:
+        q, r = divmod(sum(c * y for c, y in zip(row, ys)), d)
+        if r:
             raise AssertionError("non-integral interpolation result")
-        out.append(c.numerator)
-    return out
-
-
-def _lin_mul(p: list[Fraction], c) -> list[Fraction]:
-    """p(X) * (X + c)."""
-    out = [Fraction(0)] * (len(p) + 1)
-    for i, a in enumerate(p):
-        out[i + 1] += a
-        out[i] += a * c
+        out.append(q)
     return out
 
 
@@ -216,10 +209,3 @@ def is_eisenstein(p: Poly, prime: int) -> bool:
     if any(c % prime for c in p.coeffs[:-1]):
         return False
     return p.coeffs[0] % (prime * prime) != 0
-
-
-def check_index_coprime(field: NumberField, index: int) -> bool:
-    """Witness-prime exclusion: the index must avoid the Eisenstein witness."""
-    if field.witness is None:
-        return True
-    return p_adic_valuation(index, field.witness) == 0 if index != 0 else False

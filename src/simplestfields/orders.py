@@ -5,9 +5,10 @@ matrix H: row i divided by D is the i-th basis element over the power basis
 of beta.  Two independent saturation strategies are provided and serve as
 each other's oracle:
 
-  * "enumerate": sweep projective candidate vectors v over F_p and test
-    (v . basis)/p for integrality via the characteristic polynomial,
-    enlarging until a full sweep finds nothing;
+  * "enumerate": sweep the projective points v over F_p of the kernel of
+    the trace form mod p (the v for which every Tr((v . basis) * beta^j / p)
+    is integral) and test (v . basis)/p for integrality via the
+    characteristic polynomial, enlarging until a full sweep finds nothing;
   * "radical": kernel of the q-power (Frobenius) map gives the p-radical,
     whose multiplier ring is computed by exact linear algebra; iterate
     until stable.
@@ -185,24 +186,44 @@ def _projective_vectors(n: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order | None:
-    """One full sweep; returns the enlarged order at the first integral candidate."""
-    n = field.n
+def _trace_candidates(order: Order, p: int, traces):
+    """Numerators w = v . basis, v projective over F_p, for which
+    Tr(w * beta^j) / (p * den) is integral for every j, in the order of
+    _projective_vectors(n, p).
+
+    Each basis row over den is an order element, so S_ij = Tr(basis_i * beta^j)
+    is divisible by den, and the test reads sum_i v_i * S_ij / den = 0 mod p:
+    the surviving v are the projective points of a left kernel mod p.
+    """
+    n = order.n
     den, basis = order.den, order.basis
-    pd = p * den
-    for v in _projective_vectors(n, p):
-        w = [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
-        # trace filter: Tr(x * beta^j) must be integral for every j
-        ok = True
+    form = []
+    for row in basis:
+        form_row = []
         for j in range(n):
-            s = sum(w[k] * traces[k + j] for k in range(n))
-            if s % pd:
-                ok = False
-                break
-        if not ok:
-            continue
+            q, r = divmod(sum(row[k] * traces[k + j] for k in range(n)), den)
+            if r:
+                raise AssertionError("trace of an order element is not integral")
+            form_row.append(q % p)
+        form.append(form_row)
+    kernel = left_kernel_mod_p(form, p)
+    points = []
+    for c in _projective_vectors(len(kernel), p):
+        v = [sum(ca * ka[i] for ca, ka in zip(c, kernel)) % p for i in range(n)]
+        lead = next(i for i, x in enumerate(v) if x)
+        inv = pow(v[lead], -1, p)
+        points.append((lead, [x * inv % p for x in v]))
+    for _, v in sorted(points):
+        yield [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
+
+
+def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order | None:
+    """One sweep over the projective points of the trace-form kernel mod p;
+    returns the enlarged order at the first integral candidate."""
+    pd = p * order.den
+    for w in _trace_candidates(order, p, traces):
         if is_algebraic_integer(field_elt(field, w, pd)):
-            rows = [w] + [[p * x for x in row] for row in basis]
+            rows = [w] + [[p * x for x in row] for row in order.basis]
             return make_order(field, pd, rows)
     return None
 

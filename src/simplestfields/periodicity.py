@@ -119,17 +119,16 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("degree must be at least 2")
     deg_bound = 2 * n - 2
-    points = list(range(deg_bound + 1))
     adj_values = [[[] for _ in range(n)] for _ in range(n)]
     det_values = []
-    for t0 in points:
+    for t0 in range(deg_bound + 1):
         det0, adj0 = _adjugate_at(n, t0)
         det_values.append(det0)
         for i in range(n):
             for j in range(n):
                 adj_values[i][j].append(adj0[i][j])
-    det_poly = Poly(_interpolate_int(points, det_values))
-    entry_polys = [[Poly(_interpolate_int(points, adj_values[i][j])) for j in range(n)] for i in range(n)]
+    det_poly = Poly(_interpolate_int(det_values))
+    entry_polys = [[Poly(_interpolate_int(adj_values[i][j])) for j in range(n)] for i in range(n)]
     for extra in range(deg_bound + 1, deg_bound + 4):
         det0, adj0 = _adjugate_at(n, extra)
         if det_poly(extra) != det0:

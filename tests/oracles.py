@@ -8,6 +8,7 @@ the classical quadratic-field classification.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:
@@ -114,3 +115,20 @@ def quadratic_maximal_fingerprint(t: int):
         # canonical lower-triangular reduced form
         return (2, ((2, 0), (rows[1][0], 1)))
     return (1, ((1, 0), (0, 1)))
+
+
+def brute_force_trace_candidates(order, p: int, traces) -> list[list[int]]:
+    """Numerators w = v . basis over every projective v in F_p^n (first nonzero
+    coordinate 1, in lexicographic order per leading position) that pass the
+    trace filter: Tr(w * beta^j) divisible by p * den for every j."""
+    n = len(order.basis)
+    basis = order.basis
+    pd = p * order.den
+    out = []
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - 1 - lead):
+            v = (0,) * lead + (1,) + tail
+            w = [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
+            if all(sum(w[k] * traces[k + j] for k in range(n)) % pd == 0 for j in range(n)):
+                out.append(w)
+    return out

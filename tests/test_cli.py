@@ -69,6 +69,40 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, status",
+    [
+        (["family", "--n", "3", "--t", "1"], 0, "ok"),
+        (["period-scan", "--n", "2", "--modulus", "2", "--t-min", "-30", "--t-max", "30"], 1, "fail"),
+        (["family", "--n", "1", "--t", "0"], 2, "usage-error"),
+        (["integral-basis", "--n", "1", "--t", "0"], 2, "usage-error"),
+        (["period-scan", "--n", "4", "--modulus", "0", "--t-min", "-5", "--t-max", "5"], 2, "usage-error"),
+        (["integral-basis", "--n", "6", "--t", "5"], 3, "not-covered"),
+    ],
+)
+def test_exit_code_and_document(capsys, argv, code, status):
+    got, doc = run_cli(capsys, argv)
+    assert got == code
+    assert doc["status"] == status
+    assert doc["command"]["subcommand"] == argv[0]
+    assert doc["timing_ms"] >= 0
+    assert ("error" in doc) == (code >= 2)
+    assert ("result" in doc) == (code < 2)
+
+
+def test_error_documents_go_to_out_file(tmp_path, capsys):
+    for argv, status in [
+        (["integral-basis", "--n", "6", "--t", "5"], "not-covered"),
+        (["family", "--n", "1", "--t", "0"], "usage-error"),
+    ]:
+        path = tmp_path / f"{status}.json"
+        main(argv + ["--out", str(path)])
+        assert capsys.readouterr().out == ""
+        doc = json.loads(path.read_text())
+        assert doc["status"] == status
+        assert doc["command"]["n"] == argv[2]
+
+
 def test_dual_basis_subcommand(capsys):
     code, doc = run_cli(capsys, ["dual-basis", "--n", "2", "--t", "1"])
     assert code == 0

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
+    _interpolate_int,
     char_poly,
     eisenstein_witness,
     field_elt,
@@ -17,6 +19,8 @@ from simplestfields.numberfield import (
 )
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import (
+    _enumerate_round,
+    _trace_candidates,
     candidate_primes,
     denominator_bound,
     integral_basis,
@@ -28,7 +32,7 @@ from simplestfields.orders import (
 )
 from simplestfields.poly import Poly
 
-from oracles import matrix_trace_powers, quadratic_maximal_fingerprint
+from oracles import brute_force_trace_candidates, matrix_trace_powers, quadratic_maximal_fingerprint
 
 
 def test_char_poly_examples():
@@ -279,3 +283,35 @@ def test_strategy_agreement_sample():
         assert a.fingerprint == b.fingerprint, (n, t)
         checked += 1
     assert checked >= 10
+
+
+@given(st.lists(st.integers(min_value=-(10**30), max_value=10**30), min_size=23, max_size=23))
+def test_interpolate_int_roundtrip(coeffs):
+    """Every length 1..23 (23 points: the symbolic dual denominator at n=12)."""
+    for k in range(1, 24):
+        c = coeffs[:k]
+        values = [sum(a * x**j for j, a in enumerate(c)) for x in range(k)]
+        assert _interpolate_int(values) == c
+
+
+def test_interpolate_int_rejects_non_integral():
+    for k in range(3, 24):
+        with pytest.raises(AssertionError, match="non-integral"):
+            _interpolate_int([x * (x - 1) // 2 for x in range(k)])
+
+
+def test_trace_candidates_match_brute_force_filter():
+    """The kernel sweep yields the same vectors, in the same order, as the
+    trace filter over all projective vectors, at the power order and after
+    one enlargement."""
+    for n, t in [(6, 1), (6, 4), (8, 4), (8, -8)]:
+        f = number_field(n, t)
+        traces = field_trace_powers(f, 2 * n - 2)
+        for p in (2, 3):
+            order = power_order(f)
+            for _ in range(2):
+                expected = brute_force_trace_candidates(order, p, traces)
+                assert list(_trace_candidates(order, p, traces)) == expected, (n, t, p)
+                assert expected
+                order = _enumerate_round(f, order, p, traces)
+                assert order is not None, (n, t, p)
