@@ -58,8 +58,6 @@ from .periodicity import (
     minimality_witness,
     period_scan,
     symbolic_dual_denominator,
-    trace_powers,
-    valid_parameter,
 )
 from .poly import Poly, discriminant, resultant
 
@@ -113,8 +111,6 @@ __all__ = [
     "minimality_witness",
     "period_scan",
     "symbolic_dual_denominator",
-    "trace_powers",
-    "valid_parameter",
     "Poly",
     "discriminant",
     "resultant",

@@ -22,18 +22,6 @@ def mat_shape(m) -> tuple[int, int]:
     return rows, cols
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise ValueError("shape mismatch")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)] for i in range(ra)]
-
-
 def hnf(m: list[list[int]]) -> list[list[int]]:
     """Hermite normal form of a full-row-rank integer matrix (row lattice basis)."""
     rows, cols = mat_shape(m)
@@ -41,11 +29,6 @@ def hnf(m: list[list[int]]) -> list[list[int]]:
     if len(out) != rows:
         raise ValueError("matrix is not of full row rank")
     return out
-
-
-def hnf_lattice(rows: list[list[int]], cols: int) -> list[list[int]]:
-    """HNF basis (nonzero rows only) of the lattice spanned by possibly redundant rows."""
-    return hnf_rows(rows, cols)
 
 
 def bareiss_det(m: list[list[int]]) -> int:

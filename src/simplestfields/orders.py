@@ -13,6 +13,19 @@ each other's oracle:
     whose multiplier ring is computed by exact linear algebra; iterate
     until stable.
 
+The saturation loop (_saturate) may start from the p-maximal order of
+another parameter instead of Z[beta]; a period scan passes the one it found
+last in the same residue class.  Such a start is a make_order fingerprint
+(den, HNF) with den a power of p.  It is used only when the lattice over
+den contains den * beta^i for every i and is closed under all n(n+1)/2
+products of its basis rows under the new defining polynomial: it is then an
+order of p-power index over Z[beta], so it lies in the p-maximal order.
+Otherwise saturation starts from Z[beta].  Either way the unchanged round
+loop runs until a round finds nothing to add, so every p-maximal order
+passes the same stopping test (Cohen, GTM 138, 6.1: an order is p-maximal
+iff the multiplier ring of its p-radical is the order itself), and the
+canonical HNF makes the result independent of the start.
+
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
 polynomial discriminant at most once and is excluded by its Eisenstein
@@ -23,9 +36,9 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import gcd, lcm
 
-from ._kernels import solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
+from ._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from .family import disc_quadratic
-from .linalg import hnf_lattice, left_kernel_mod_p
+from .linalg import left_kernel_mod_p
 from .numberfield import (
     NumberField,
     ParameterNotCoveredError,
@@ -74,7 +87,7 @@ class Order:
 def make_order(field: NumberField, den: int, rows) -> Order:
     """Canonicalize a generating set over a common denominator into an Order."""
     n = field.n
-    basis = hnf_lattice([list(r) for r in rows], n)
+    basis = hnf_rows([list(r) for r in rows], n)
     if len(basis) != n:
         raise ValueError("generating set does not span a full lattice")
     g = den
@@ -148,7 +161,7 @@ def _radical_basis(field: NumberField, order: Order, p: int):
         return None
     rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
     rows += [[p * x for x in row] for row in basis]
-    return hnf_lattice(rows, n)
+    return hnf_rows(rows, n)
 
 
 def _radical_round(field: NumberField, order: Order, p: int) -> Order | None:
@@ -228,13 +241,35 @@ def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order 
     return None
 
 
-def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Order:
-    """The smallest p-maximal order containing Z[beta]."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    order = power_order(field)
+def _start_order(field: NumberField, start) -> Order | None:
+    """The order with fingerprint start = (den, HNF rows), or None unless the
+    lattice over den contains Z[beta] and is closed under multiplication."""
+    den, basis = start
+    n = field.n
+    f = list(field.poly.coeffs)
+    try:
+        for i in range(n):
+            solve_lower_coords(basis, [0] * i + [den])
+        for i in range(n):
+            for j in range(i, n):
+                solve_lower_coords(basis, _order_mul(basis[i], basis[j], f, den))
+    except ValueError:  # a product is not over den, or a vector is outside the lattice
+        return None
+    return Order(field, den, tuple(tuple(r) for r in basis))
+
+
+def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
+    """p_maximal_order for a strategy already known to be valid.
+
+    start is None or the fingerprint of a p-maximal order of the same degree
+    (so canonical, with den a power of p); it is saturated from instead of
+    Z[beta] when _start_order accepts it.
+    """
     if p_adic_valuation(field.disc, p) < 2:
-        return order  # index^2 divides the discriminant, so p cannot divide it
+        return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
+    order = None if start is None else _start_order(field, start)
+    if order is None:
+        order = power_order(field)
     traces = field_trace_powers(field, 2 * field.n - 2) if strategy == "enumerate" else None
     while True:
         if strategy == "radical":
@@ -244,6 +279,13 @@ def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Or
         if nxt is None:
             return order
         order = nxt
+
+
+def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Order:
+    """The smallest p-maximal order containing Z[beta]."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _saturate(field, p, strategy)
 
 
 def candidate_primes(n: int) -> list[int]:
@@ -268,18 +310,18 @@ def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     return True, "ok"
 
 
-def integral_basis(field: NumberField, strategy: str = "radical", gate: str = "strict") -> Order:
-    """Maximal order of the field, certified under the stated hypotheses.
-
-    Raises ParameterNotCoveredError when the squarefree gate fails or no
+def require_covered(field: NumberField, gate: str = "strict") -> None:
+    """Raise ParameterNotCoveredError when the squarefree gate fails or no
     Eisenstein witness exists (the parameter is then outside the certified
-    domain, regardless of actual irreducibility).
-    """
+    domain, regardless of actual irreducibility)."""
     ok, reason = parameter_gate(field.n, field.t, gate)
     if not ok or field.witness is None:
         raise ParameterNotCoveredError(f"parameter not covered by paper hypotheses: {reason}")
-    n = field.n
-    orders = [p_maximal_order(field, p, strategy) for p in candidate_primes(n)]
+
+
+def join_orders(field: NumberField, orders) -> Order:
+    """The order generated by the p-maximal orders of the candidate primes:
+    all bases over the lcm of their denominators, canonicalized."""
     den = 1
     for o in orders:
         den = lcm(den, o.den)
@@ -288,6 +330,15 @@ def integral_basis(field: NumberField, strategy: str = "radical", gate: str = "s
         s = den // o.den
         rows += [[s * x for x in row] for row in o.basis]
     return make_order(field, den, rows)
+
+
+def integral_basis(field: NumberField, strategy: str = "radical", gate: str = "strict") -> Order:
+    """Maximal order of the field, certified under the stated hypotheses.
+
+    Raises ParameterNotCoveredError outside them (see require_covered).
+    """
+    require_covered(field, gate)
+    return join_orders(field, [p_maximal_order(field, p, strategy) for p in candidate_primes(field.n)])
 
 
 def denominator_bound(n: int) -> int:

@@ -6,6 +6,16 @@ residue class modulo the period length must produce identical fingerprints.
 Minimality is evidence-based: for each prime divisor p of the period length
 the scanner looks for two parameters congruent modulo period/p with
 different fingerprints.
+
+A period scan computes every fingerprint, but for each candidate prime p
+whose part p^v in the modulus exceeds 1 it saturates from the last p-maximal
+order with den > 1 found for the same class of t modulo p^v, instead of from
+Z[beta].  That start is re-checked for the new parameter (it contains
+Z[beta] and is closed under multiplication; see orders) and the saturation
+loop must still find nothing to add, so the fingerprints equal those
+computed from scratch; a start that fails a check is dropped and Z[beta]
+used instead.  A prime absent from the modulus would share one start across
+all classes, which mostly fails the check, so it saturates from Z[beta].
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -16,8 +26,8 @@ from math import gcd, lcm
 from .family import disc_quadratic, specialize
 from .linalg import bareiss_det, rat_matrix_inverse
 from .numberfield import NumberField, _interpolate_int, field_trace_powers, number_field, trace_powers as _newton_traces
-from .numutil import factorize
-from .orders import Order, integral_basis, parameter_gate
+from .numutil import factorize, p_adic_valuation
+from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate, require_covered
 from .poly import Poly
 
 # Exponent of 3 in the dual-basis denominator law d = 3^e * n * Q(t), n = 2..12.
@@ -55,11 +65,6 @@ class DualBasis:
     matrix: tuple[tuple[Fraction, ...], ...]
     denominator: int  # lcm of all entry denominators
     law_ok: bool | None  # denominator law verdict for 2 <= n <= 12, else None
-
-
-def trace_powers(field: NumberField, k_max: int) -> list[int]:
-    """Tr(beta^k) for k = 0..k_max (Newton's identities over the defining polynomial)."""
-    return list(field_trace_powers(field, k_max))
 
 
 def dual_basis(field: NumberField) -> DualBasis:
@@ -211,20 +216,40 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
     return TableCheck(not failures, tuple(entries), tuple(failures))
 
 
-def valid_parameter(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
-    """Squarefree gate plus Eisenstein witness existence, with a reason string."""
-    return parameter_gate(n, t, gate)
-
-
 def canonical_basis(field: NumberField, strategy: str = "radical", gate: str = "strict") -> Fingerprint:
     """The (denominator, HNF matrix) fingerprint of the integral basis."""
     o = integral_basis(field, strategy=strategy, gate=gate)
     return o.fingerprint
 
 
-def _fingerprint_task(args) -> tuple[int, Fingerprint]:
-    n, t, strategy, gate = args
-    return t, canonical_basis(number_field(n, t), strategy=strategy, gate=gate)
+def _scan_slice(args) -> list[tuple[int, Fingerprint]]:
+    """Fingerprints of the gate-passing parameters ts, in order.
+
+    Each prime p with p^v = p^v_p(modulus) > 1 saturates from the last
+    p-maximal order with den > 1 of the same class of t modulo p^v, kept in
+    a cache local to this call.  The strategy was checked by period_scan,
+    so the scan calls _saturate directly.
+    """
+    n, modulus, ts, strategy, gate = args
+    prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
+    starts: dict[tuple[int, int], Fingerprint] = {}
+    out = []
+    for t in ts:
+        try:
+            field = number_field(n, t)
+            require_covered(field, gate)
+            orders = []
+            for p, part in prime_parts.items():
+                key = (p, t % part)
+                o = _saturate(field, p, strategy, starts.get(key))
+                if part > 1 and o.den > 1:
+                    starts[key] = o.fingerprint
+                orders.append(o)
+            out.append((t, join_orders(field, orders).fingerprint))
+        except Exception as exc:
+            exc.args = (f"{exc} (n={n}, t={t})",)
+            raise
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,14 +279,26 @@ def period_scan(
     """Group valid parameters by residue modulo the candidate period and compare
     fingerprints within each class.
 
-    t_range is any iterable of integers; residues optionally restricts the scan
-    to chosen classes (used for reduced sweeps at large moduli).  The report is
-    deterministic and independent of the worker count.
+    t_range is any nonempty iterable of integers; residues optionally restricts
+    the scan to chosen classes (used for reduced sweeps at large moduli).  With
+    workers > 1 each pool task scans the interleaved slice jobs[i::workers]
+    with its own start cache.  The report is deterministic and independent of
+    the worker count.  Raises ValueError for n < 2, modulus < 1, an empty
+    range, workers < 1 or an unknown strategy; an error raised for one field
+    keeps its type and gains "(n=..., t=...)" in its message.
     """
+    ts = sorted(set(t_range))
+    if n < 2:
+        raise ValueError("degree must be at least 2")
     if modulus < 1:
         raise ValueError("modulus must be positive")
+    if not ts:
+        raise ValueError("the parameter range is empty")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     wanted = None if residues is None else {r % modulus for r in residues}
-    ts = sorted(set(t_range))
     skipped = []
     jobs = []
     for t in ts:
@@ -269,15 +306,16 @@ def period_scan(
             continue
         ok, reason = parameter_gate(n, t, gate)
         if ok:
-            jobs.append((n, t, strategy, gate))
+            jobs.append(t)
         else:
             skipped.append((t, reason))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fingerprint_task, jobs, chunksize=8))
+    slices = [(n, modulus, jobs[i::workers], strategy, gate) for i in range(min(workers, len(jobs)))]
+    if len(slices) > 1:
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            parts = list(pool.map(_scan_slice, slices))
     else:
-        results = [_fingerprint_task(j) for j in jobs]
-    results.sort(key=lambda item: item[0])
+        parts = [_scan_slice(s) for s in slices]
+    results = sorted((item for part in parts for item in part), key=lambda item: item[0])
     classes: dict[int, list] = {}
     for t, fp in results:
         classes.setdefault(t % modulus, []).append((t, fp))

@@ -85,6 +85,17 @@ def matrix_trace_powers(f: list[int], k_max: int) -> list[int]:
     return out
 
 
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    """Plain triple-loop matrix product."""
+    if len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def gauss_jordan_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(m)
     aug = [[Fraction(x) for x in m[i]] + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]

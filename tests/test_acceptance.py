@@ -38,7 +38,6 @@ from simplestfields.periodicity import (
     dual_basis,
     minimality_witness,
     period_scan,
-    valid_parameter,
 )
 from simplestfields.poly import Poly, discriminant, resultant
 
@@ -264,6 +263,6 @@ def test_criterion_10_degenerate_parameters():
     t0 = time.monotonic()
     ok = True
     for t in (-8, -3, 0, 5):
-        valid, reason = valid_parameter(6, t)
+        valid, reason = parameter_gate(6, t)
         ok = ok and not valid and reason.startswith("not squarefree")
     _verdict(10, "sextic exclusion set rejected with squarefree reasons", ok, time.monotonic() - t0, 10)

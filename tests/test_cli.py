@@ -78,6 +78,8 @@ def test_usage_error_exit_code(capsys):
         (["integral-basis", "--n", "1", "--t", "0"], 2, "usage-error"),
         (["period-scan", "--n", "4", "--modulus", "0", "--t-min", "-5", "--t-max", "5"], 2, "usage-error"),
         (["integral-basis", "--n", "6", "--t", "5"], 3, "not-covered"),
+        (["period-scan", "--n", "4", "--modulus", "24", "--t-min", "5", "--t-max", "-5"], 2, "usage-error"),
+        (["period-scan", "--n", "4", "--modulus", "24", "--t-min", "-5", "--t-max", "5", "--workers", "0"], 2, "usage-error"),
     ],
 )
 def test_exit_code_and_document(capsys, argv, code, status):

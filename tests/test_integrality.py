@@ -19,7 +19,11 @@ from simplestfields.numberfield import (
 )
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import (
+    STRATEGIES,
     _enumerate_round,
+    _radical_round,
+    _saturate,
+    _start_order,
     _trace_candidates,
     candidate_primes,
     denominator_bound,
@@ -30,6 +34,7 @@ from simplestfields.orders import (
     period_length_bound,
     power_order,
 )
+from simplestfields.periodicity import FINAL_PERIOD_TABLE
 from simplestfields.poly import Poly
 
 from oracles import brute_force_trace_candidates, matrix_trace_powers, quadratic_maximal_fingerprint
@@ -315,3 +320,61 @@ def test_trace_candidates_match_brute_force_filter():
                 assert expected
                 order = _enumerate_round(f, order, p, traces)
                 assert order is not None, (n, t, p)
+
+
+def test_start_order_checks():
+    """A start lattice is used only when it contains Z[beta] and is closed
+    under products."""
+    f = number_field(4, 3)
+    n = f.n
+    o = p_maximal_order(f, 2)
+    assert o.den == 2
+    assert _start_order(f, o.fingerprint) == o
+    assert _start_order(f, power_order(f).fingerprint) == power_order(f)
+    diag = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    low = [row[:] for row in diag]
+    low[1] = [1, 4, 0, 0]
+    assert _start_order(f, (2, low)) is None  # misses beta
+    half_beta = [row[:] for row in diag]
+    half_beta[1] = [0, 1, 0, 0]
+    assert _start_order(f, (2, half_beta)) is None  # (beta/2)^2 is not in the lattice
+
+
+def _radical_chain(field, p):
+    """Orders from Z[beta] to the p-maximal order, one radical round apart."""
+    chain = [power_order(field)]
+    while (nxt := _radical_round(field, chain[-1], p)) is not None:
+        chain.append(nxt)
+    return chain
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("p", [2, 3])
+def test_p_maximal_order_from_start(n, p):
+    """Both strategies give the same p-maximal order with or without a start:
+    one from the same residue class (reused), one from another class, and
+    the last non-maximal order of the radical chain (saturated further)."""
+    part = p ** p_adic_valuation(FINAL_PERIOD_TABLE[n], p)
+    ts = [t for t in range(-60, 61) if parameter_gate(n, t)[0]]
+
+    def local(t):
+        return p_maximal_order(number_field(n, t), p)
+
+    t0 = next(t for t in ts if local(t).den > 1 and any(u != t and (u - t) % part == 0 for u in ts))
+    field = number_field(n, t0)
+    same = next(u for u in ts if u != t0 and (u - t0) % part == 0)
+    other = next(u for u in ts if (u - t0) % part and local(u).fingerprint != local(t0).fingerprint)
+    chain = _radical_chain(field, p)
+    assert len(chain) >= 2
+    starts = [
+        ("same residue", local(same).fingerprint, True),
+        ("other residue", local(other).fingerprint, None),
+        ("intermediate", chain[-2].fingerprint, True),
+    ]
+    for strategy in STRATEGIES:
+        expected = p_maximal_order(field, p, strategy)
+        assert expected == chain[-1]
+        for name, start, used in starts:
+            if used is not None:
+                assert (_start_order(field, start) is not None) == used, name
+            assert _saturate(field, p, strategy, start) == expected, (name, strategy)

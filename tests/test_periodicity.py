@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from simplestfields.numberfield import number_field, field_elt
+from simplestfields import orders, periodicity
+from simplestfields.numberfield import field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
-from simplestfields.orders import integral_basis, period_length_bound
+from simplestfields.orders import integral_basis, parameter_gate, period_length_bound
 from simplestfields.periodicity import (
     DUAL_DENOMINATOR_EXPONENT,
     FINAL_PERIOD_TABLE,
@@ -14,14 +15,12 @@ from simplestfields.periodicity import (
     dual_basis,
     minimality_witness,
     period_scan,
-    trace_powers,
-    valid_parameter,
 )
 
 
 def test_trace_powers_surface():
     f = number_field(2, 1)
-    assert trace_powers(f, 2) == [2, 2, 8]
+    assert field_trace_powers(f, 2) == (2, 2, 8)
 
 
 def test_dual_basis_quadratic_hand_case():
@@ -57,7 +56,7 @@ def test_dual_basis_trace_duality():
     for n, t in [(3, 2), (5, 1), (6, 4)]:
         f = number_field(n, t)
         db = dual_basis(f)
-        p = trace_powers(f, 2 * n - 2)
+        p = field_trace_powers(f, 2 * n - 2)
         for i in range(n):
             for j in range(n):
                 val = sum(db.matrix[i][k] * p[k + j] for k in range(n))
@@ -74,7 +73,7 @@ def test_integer_coordinates_in_dual_basis():
     for n, t in [(2, 3), (4, 7), (6, 1), (9, 1)]:
         f = number_field(n, t)
         o = integral_basis(f)
-        p = trace_powers(f, 2 * n - 2)
+        p = field_trace_powers(f, 2 * n - 2)
         for row in o.basis:
             for j in range(n):
                 tr = sum(Fraction(row[k], o.den) * p[k + j] for k in range(n))
@@ -82,21 +81,21 @@ def test_integer_coordinates_in_dual_basis():
 
 
 def test_valid_parameter_examples():
-    ok, reason = valid_parameter(6, 5)
+    ok, reason = parameter_gate(6, 5)
     assert not ok and reason.startswith("not squarefree")
-    ok, _ = valid_parameter(4, 2)
+    ok, _ = parameter_gate(4, 2)
     assert ok
-    ok, reason = valid_parameter(3, 3)
+    ok, reason = parameter_gate(3, 3)
     assert not ok and reason.startswith("not squarefree")
-    ok, reason = valid_parameter(3, 3, gate="relaxed")
+    ok, reason = parameter_gate(3, 3, gate="relaxed")
     assert not ok and "witness" in reason
     with pytest.raises(ValueError):
-        valid_parameter(3, 3, gate="loose")
+        parameter_gate(3, 3, gate="loose")
 
 
 def test_sextic_exclusion_set():
     for t in (-8, -3, 0, 5):
-        ok, reason = valid_parameter(6, t)
+        ok, reason = parameter_gate(6, t)
         assert not ok and reason.startswith("not squarefree")
 
 
@@ -169,6 +168,72 @@ def test_dual_denominator_exponent_values():
 def test_period_scan_rejects_bad_modulus():
     with pytest.raises(ValueError):
         period_scan(2, 0, range(-5, 6))
+
+
+def test_period_scan_rejects_bad_arguments():
+    for args, kwargs in [
+        ((1, 4, range(-5, 6)), {}),
+        ((4, 24, range(5, -6)), {}),
+        ((4, 24, []), {}),
+        ((4, 24, range(-5, 6)), {"workers": 0}),
+        ((4, 24, range(-5, 6)), {"strategy": "guess"}),
+    ]:
+        with pytest.raises(ValueError):
+            period_scan(*args, **kwargs)
+
+
+def test_period_scan_names_the_failing_field(monkeypatch):
+    real = periodicity.number_field
+
+    def broken(n, t):
+        if t == 7:
+            raise ArithmeticError("broken field")
+        return real(n, t)
+
+    monkeypatch.setattr(periodicity, "number_field", broken)
+    with pytest.raises(ArithmeticError, match=r"^broken field \(n=4, t=7\)$"):
+        period_scan(4, 24, range(0, 20))
+
+
+@pytest.mark.parametrize("n, modulus, bound", [(6, 36, 60), (8, 432, 60)])
+def test_period_scan_fingerprints_match_scratch(n, modulus, bound):
+    """Saturating from the cached orders of each class gives exactly the
+    fingerprints computed from Z[beta]."""
+    rep = period_scan(n, modulus, range(-bound, bound + 1))
+    members = [(t, fp) for ms in rep.classes.values() for t, fp in ms]
+    assert len(members) > 60
+    for t, fp in members:
+        assert fp == canonical_basis(number_field(n, t)), t
+
+
+def test_period_scan_reuses_orders(monkeypatch):
+    """The scan runs fewer radical rounds than computing every field from
+    Z[beta]: a start that is always rejected would not."""
+    rounds = [0]
+    real = orders._radical_round
+
+    def counted(*args):
+        rounds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orders, "_radical_round", counted)
+    rep = period_scan(6, 36, range(-60, 61))
+    scan_rounds, rounds[0] = rounds[0], 0
+    for ms in rep.classes.values():
+        for t, _ in ms:
+            integral_basis(number_field(6, t))
+    assert scan_rounds < rounds[0]
+
+
+def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
+    """At modulus 1 every class would share one start per prime, which mostly
+    fails the checks, so the scan saturates from Z[beta] without trying it."""
+    tried = []
+    monkeypatch.setattr(orders, "_start_order", lambda field, start: tried.append(field.t))
+    period_scan(6, 1, range(-30, 31))
+    assert tried == []
+    period_scan(6, 4, range(-30, 31))
+    assert tried
 
 
 def test_order_first_row_is_unit():
