@@ -10,6 +10,7 @@ rejects malformed command lines with exit 2 before any document), 3
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -238,7 +239,9 @@ def cmd_verify_tables(args, started: float) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="simplest-fields",
         description="Exact constructions and verifications for generalized simplest number field families.",

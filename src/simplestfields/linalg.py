@@ -58,20 +58,14 @@ def bareiss_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def left_kernel_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {y : y @ m == 0 (mod p)} for prime p, vectors with entries in [0, p)."""
-    rows, cols = mat_shape(m)
-    # augment with the identity to track row operations
-    a = [[x % p for x in m[i]] + [1 if j == i else 0 for j in range(rows)] for i in range(rows)]
-    width = cols + rows
-    pivot_rows: list[int] = []
+def _row_reduce_mod_p(a: list[list[int]], cols: int, p: int) -> int:
+    """Bring the rows of a, in place, to reduced row echelon form mod p over
+    their first cols columns (later columns follow the row operations);
+    returns the rank found there."""
+    rows = len(a)
     r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, rows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
@@ -80,10 +74,21 @@ def left_kernel_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
         for i in range(rows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [(a[i][j] - f * a[r][j]) % p for j in range(width)]
-        pivot_rows.append(r)
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
-    return [row[cols:] for row in a[r:]]
+    return r
+
+
+def left_kernel_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {y : y @ m == 0 (mod p)} for prime p in reduced row echelon
+    form, vectors with entries in [0, p)."""
+    rows, cols = mat_shape(m)
+    # augment with the identity to track row operations
+    a = [[x % p for x in m[i]] + [1 if j == i else 0 for j in range(rows)] for i in range(rows)]
+    r = _row_reduce_mod_p(a, cols, p)
+    kernel = [row[cols:] for row in a[r:]]
+    _row_reduce_mod_p(kernel, rows, p)
+    return kernel
 
 
 def rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:

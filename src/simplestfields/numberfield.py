@@ -2,20 +2,21 @@
 
 A field element is an integer coordinate vector over the power basis
 1, beta, ..., beta^(n-1) together with a positive denominator.  The
-characteristic polynomial is computed through the resultant kernel at the
-integer points 0..n and interpolated through an inverse Vandermonde matrix
-kept per length as an integer matrix over one denominator, so the
-integrality test is integer arithmetic only.
+characteristic polynomial of w/den, w the integer numerator, has the
+coefficients (-1)^k e_k / den^k, where e_k comes from the power sums
+Tr(w^k) by Newton's identities (Cohen, GTM 138, 4.3); the power sums need
+only products mod f and the traces of the powers of beta.  The integrality
+test is integer arithmetic only and stops at the first k with den^k not
+dividing e_k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from ._kernels import zx_resultant, zx_trim
+from ._kernels import zx_mulmod
 from .family import SpecializedPoly, disc_quadratic, discriminant_formula_t, parameter_value, specialize
-from .linalg import rat_matrix_inverse
 from .numutil import factorize
 from .poly import Poly, discriminant
 
@@ -78,61 +79,47 @@ def field_elt(field: NumberField, num, den: int = 1) -> FieldElt:
     return FieldElt(field, tuple(x // g for x in num), den // g)
 
 
-def char_poly(e: FieldElt) -> Poly:
-    """Monic degree-n characteristic polynomial of the element, exact.
+def _char_coeffs(field: NumberField, w):
+    """Yield e_1, ..., e_n, the elementary symmetric functions of the
+    conjugates of the integer numerator w, one at a time.
 
-    Computed as Res_X(f(X), den*Y - A(X)) / den^n, where A is the numerator
-    polynomial; the resultant in Y is recovered by interpolation at integer
-    points through the integer subresultant kernel.
+    The power sums s_k = Tr(w^k) come from w^k mod f and the cached traces
+    of beta^i; Newton's identities k * e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
+    then give e_k, and every division by k must be exact.
     """
-    f = list(e.field.poly.coeffs)
-    n = e.field.n
-    a = zx_trim(list(e.num))
-    d = e.den
-    if not a:
-        return Poly([Fraction(0)] * n + [Fraction(1)])  # the zero element: Y^n
-    if len(a) == 1:
-        # rational element a0/d: characteristic polynomial (Y - a0/d)^n
-        return Poly([Fraction(-a[0], d), Fraction(1)]) ** n
-    values = []
-    for y in range(n + 1):
-        g = list(a)
-        g[0] -= d * y
-        values.append(zx_resultant(f, [-c for c in g]))
-    r_poly = _interpolate_int(values)
-    dn = d**n
-    return Poly([Fraction(c, dn) for c in r_poly])
-
-
-@lru_cache(maxsize=None)
-def _inverse_vandermonde(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(M, D) with M / D the inverse of V[i][j] = i^j for 0 <= i, j < k, M
-    integral and D the common denominator.  One entry per interpolation
-    length, and the lengths in use are bounded by twice the field degree."""
-    inv = rat_matrix_inverse([[Fraction(i**j) for j in range(k)] for i in range(k)])
-    d = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in inv), d
-
-
-def _interpolate_int(ys: list[int]) -> list[int]:
-    """Integer coefficients, lowest degree first, of the polynomial of degree
-    below len(ys) taking the value ys[i] at i = 0, 1, ... (coefficients are
-    asserted integral)."""
-    m, d = _inverse_vandermonde(len(ys))
-    out = []
-    for row in m:
-        q, r = divmod(sum(c * y for c, y in zip(row, ys)), d)
+    f = list(field.poly.coeffs)
+    traces = field_trace_powers(field, field.n - 1)
+    w = list(w)
+    e = [1]
+    s = []
+    power = [1]
+    for k in range(1, field.n + 1):
+        power = zx_mulmod(power, w, f)
+        s.append(sum(c * tr for c, tr in zip(power, traces)))
+        acc = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * s[i - 1]
+            acc += term if i % 2 else -term
+        ek, r = divmod(acc, k)
         if r:
-            raise AssertionError("non-integral interpolation result")
-        out.append(q)
-    return out
+            raise AssertionError("non-integral Newton identity step")
+        e.append(ek)
+        yield ek
+
+
+def char_poly(e: FieldElt) -> Poly:
+    """Monic degree-n characteristic polynomial of the element, exact: the
+    coefficient of Y^(n-k) is (-1)^k e_k / den^k."""
+    coeffs = [Fraction(1)]
+    for k, ek in enumerate(_char_coeffs(e.field, e.num), 1):
+        coeffs.append(Fraction(-ek if k % 2 else ek, e.den**k))
+    return Poly(coeffs[::-1])
 
 
 def is_algebraic_integer(e: FieldElt) -> bool:
-    """True when the characteristic polynomial has integer coefficients."""
-    if e.den == 1:
-        return True
-    return all(Fraction(c).denominator == 1 for c in char_poly(e).coeffs)
+    """True when the characteristic polynomial has integer coefficients, that
+    is den^k divides e_k for every k <= n; stops at the first k that fails."""
+    return all(ek % e.den**k == 0 for k, ek in enumerate(_char_coeffs(e.field, e.num), 1))
 
 
 @lru_cache(maxsize=512)

@@ -54,7 +54,12 @@ GATES = ("strict", "relaxed")
 
 @dataclass(frozen=True)
 class Order:
-    """Ring of rank n containing Z[beta], canonically represented."""
+    """Lattice of rank n over den containing Z[beta], canonically represented.
+
+    It is a ring (an order) for p-maximal orders, for the outputs of radical
+    rounds (multiplier rings) and for joins of those; an intermediate
+    lattice of the enumerate strategy need not be closed under products.
+    """
 
     field: NumberField
     den: int
@@ -202,11 +207,16 @@ def _projective_vectors(n: int, p: int):
 def _trace_candidates(order: Order, p: int, traces):
     """Numerators w = v . basis, v projective over F_p, for which
     Tr(w * beta^j) / (p * den) is integral for every j, in the order of
-    _projective_vectors(n, p).
+    _projective_vectors(n, p), generated lazily.
 
     Each basis row over den is an order element, so S_ij = Tr(basis_i * beta^j)
     is divisible by den, and the test reads sum_i v_i * S_ij / den = 0 mod p:
-    the surviving v are the projective points of a left kernel mod p.
+    the surviving v are the projective points of a left kernel mod p.  With
+    the kernel basis K in reduced row echelon form, v = c . K has its first
+    nonzero coordinate at the pivot of the first nonzero c_i, equal to c_i,
+    and two such v first differ at the pivot where their c first differ;
+    so the projective c in _projective_vectors order give exactly the
+    projective v, in _projective_vectors(n, p) order.
     """
     n = order.n
     den, basis = order.den, order.basis
@@ -220,19 +230,17 @@ def _trace_candidates(order: Order, p: int, traces):
             form_row.append(q % p)
         form.append(form_row)
     kernel = left_kernel_mod_p(form, p)
-    points = []
     for c in _projective_vectors(len(kernel), p):
         v = [sum(ca * ka[i] for ca, ka in zip(c, kernel)) % p for i in range(n)]
-        lead = next(i for i, x in enumerate(v) if x)
-        inv = pow(v[lead], -1, p)
-        points.append((lead, [x * inv % p for x in v]))
-    for _, v in sorted(points):
         yield [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
 
 
 def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order | None:
     """One sweep over the projective points of the trace-form kernel mod p;
-    returns the enlarged order at the first integral candidate."""
+    returns the lattice enlarged by the first integral candidate, or None
+    when there is none.  The enlarged lattice contains Z[beta] but need not
+    be closed under products: only the lattice where a sweep finds nothing
+    is known to be a ring (the p-maximal order)."""
     pd = p * order.den
     for w in _trace_candidates(order, p, traces):
         if is_algebraic_integer(field_elt(field, w, pd)):

@@ -21,11 +21,12 @@ all classes, which mostly fails the check, so it saturates from Z[beta].
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .family import disc_quadratic, specialize
 from .linalg import bareiss_det, rat_matrix_inverse
-from .numberfield import NumberField, _interpolate_int, field_trace_powers, number_field, trace_powers as _newton_traces
+from .numberfield import NumberField, field_trace_powers, number_field, trace_powers as _newton_traces
 from .numutil import factorize, p_adic_valuation
 from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate, require_covered
 from .poly import Poly
@@ -109,6 +110,30 @@ def _adjugate_at(n: int, t0: int):
             row.append(v.numerator)
         adj0.append(row)
     return det0, adj0
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(M, D) with M / D the inverse of V[i][j] = i^j for 0 <= i, j < k, M
+    integral and D the common denominator.  One entry per interpolation
+    length, and the lengths in use are bounded by twice the field degree."""
+    inv = rat_matrix_inverse([[Fraction(i**j) for j in range(k)] for i in range(k)])
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in inv), d
+
+
+def _interpolate_int(ys: list[int]) -> list[int]:
+    """Integer coefficients, lowest degree first, of the polynomial of degree
+    below len(ys) taking the value ys[i] at i = 0, 1, ... (coefficients are
+    asserted integral)."""
+    m, d = _inverse_vandermonde(len(ys))
+    out = []
+    for row in m:
+        q, r = divmod(sum(c * y for c, y in zip(row, ys)), d)
+        if r:
+            raise AssertionError("non-integral interpolation result")
+        out.append(q)
+    return out
 
 
 def symbolic_dual_denominator(n: int) -> tuple[int, int]:

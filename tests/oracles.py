@@ -143,3 +143,32 @@ def brute_force_trace_candidates(order, p: int, traces) -> list[list[int]]:
             if all(sum(w[k] * traces[k + j] for k in range(n)) % pd == 0 for j in range(n)):
                 out.append(w)
     return out
+
+
+def resultant_char_poly(f: list[int], num: list[int], den: int) -> list[Fraction]:
+    """Coefficients, lowest degree first, of the characteristic polynomial of
+    (num[0] + num[1]*beta + ...) / den, beta a root of the monic integer
+    polynomial f: Res_X(f(X), den*Y - A(X)) / den^n from Sylvester
+    determinants at Y = 0..n and Lagrange interpolation over Fractions."""
+    n = len(f) - 1
+    ys = list(range(n + 1))
+    values = []
+    for y in ys:
+        b = [-c for c in num]
+        b[0] += den * y
+        while len(b) > 1 and b[-1] == 0:
+            b.pop()
+        values.append(Fraction(sylvester_resultant(f, b), den**n))
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, yi in enumerate(ys):
+        lagrange = [Fraction(1)]  # prod over j != i of (Y - y_j), lowest degree first
+        scale = 1
+        for j, yj in enumerate(ys):
+            if j != i:
+                lagrange = [Fraction(0)] + lagrange
+                for k in range(len(lagrange) - 1):
+                    lagrange[k] -= yj * lagrange[k + 1]
+                scale *= yi - yj
+        for k, c in enumerate(lagrange):
+            coeffs[k] += values[i] * c / scale
+    return coeffs

@@ -2,12 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
-    _interpolate_int,
     char_poly,
     eisenstein_witness,
     field_elt,
@@ -34,10 +33,15 @@ from simplestfields.orders import (
     period_length_bound,
     power_order,
 )
-from simplestfields.periodicity import FINAL_PERIOD_TABLE
+from simplestfields.periodicity import FINAL_PERIOD_TABLE, _interpolate_int
 from simplestfields.poly import Poly
 
-from oracles import brute_force_trace_candidates, matrix_trace_powers, quadratic_maximal_fingerprint
+from oracles import (
+    brute_force_trace_candidates,
+    matrix_trace_powers,
+    quadratic_maximal_fingerprint,
+    resultant_char_poly,
+)
 
 
 def test_char_poly_examples():
@@ -308,7 +312,8 @@ def test_interpolate_int_rejects_non_integral():
 def test_trace_candidates_match_brute_force_filter():
     """The kernel sweep yields the same vectors, in the same order, as the
     trace filter over all projective vectors, at the power order and after
-    one enlargement."""
+    one enlargement; at n = 5 along the whole enumerate chain of p = 3 and
+    p = 5, the p-maximal order included."""
     for n, t in [(6, 1), (6, 4), (8, 4), (8, -8)]:
         f = number_field(n, t)
         traces = field_trace_powers(f, 2 * n - 2)
@@ -320,6 +325,17 @@ def test_trace_candidates_match_brute_force_filter():
                 assert expected
                 order = _enumerate_round(f, order, p, traces)
                 assert order is not None, (n, t, p)
+    for n, t in [(5, -50), (5, -52)]:
+        f = number_field(n, t)
+        traces = field_trace_powers(f, 2 * n - 2)
+        for p in (3, 5):
+            order, enlargements = power_order(f), 0
+            while order is not None:
+                expected = brute_force_trace_candidates(order, p, traces)
+                assert list(_trace_candidates(order, p, traces)) == expected, (n, t, p)
+                order = _enumerate_round(f, order, p, traces)
+                enlargements += order is not None
+            assert enlargements >= 1, (n, t, p)
 
 
 def test_start_order_checks():
@@ -378,3 +394,67 @@ def test_p_maximal_order_from_start(n, p):
             if used is not None:
                 assert (_start_order(field, start) is not None) == used, name
             assert _saturate(field, p, strategy, start) == expected, (name, strategy)
+
+
+GATE_PASSING_T = {n: [t for t in range(-20, 21) if parameter_gate(n, t)[0]] for n in range(2, 13)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_char_poly_matches_resultant_oracle(data):
+    """Power sums and Newton's identities give the resultant's polynomial,
+    for random numerators, the zero vector and constants."""
+    n = data.draw(st.integers(min_value=2, max_value=12), label="n")
+    t = data.draw(st.sampled_from(GATE_PASSING_T[n]), label="t")
+    num = data.draw(
+        st.one_of(
+            st.lists(st.integers(min_value=-99, max_value=99), min_size=n, max_size=n),
+            st.just([0] * n),
+            st.integers(min_value=-9, max_value=9).map(lambda c: [c] + [0] * (n - 1)),
+        ),
+        label="num",
+    )
+    den = data.draw(st.sampled_from([1, 2, 3, 4, 9, 27, 7]), label="den")
+    f = number_field(n, t)
+    assert char_poly(field_elt(f, num, den)) == Poly(resultant_char_poly(list(f.poly.coeffs), num, den))
+
+
+def _first_non_integral(field, num, den):
+    """Least k whose coefficient of Y^(n-k) in the oracle polynomial is not
+    integral, or None for an algebraic integer."""
+    coeffs = resultant_char_poly(list(field.poly.coeffs), list(num), den)
+    n = field.n
+    return next((k for k in range(1, n + 1) if coeffs[n - k].denominator != 1), None)
+
+
+def test_is_algebraic_integer_matches_resultant_oracle():
+    """Explicit elements whose first non-integral coefficient is at k = 1 or
+    only at k = n, the zero vector, constants and integral elements, then a
+    random sweep."""
+    cases = [
+        (2, 3, (-2, -2), 3, 1),
+        (4, 3, (-2, -2, -2, -2), 3, 1),
+        (5, 2, (-1, -2, -2, -2, -2), 2, 1),
+        (5, 2, (3, 0, 0, 0, 0), 2, 1),
+        (2, 3, (-1, -2), 2, 2),
+        (4, 3, (-1, -2, -1, -1), 2, 4),
+        (5, 2, (-2, 0, -1, 0, 0), 2, 5),
+        (5, 2, (0, 0, 0, 0, 0), 2, None),
+        (5, 2, (4, 0, 0, 0, 0), 2, None),
+        (2, 3, (-2, 1), 2, None),
+    ]
+    for n, t, num, den, first in cases:
+        f = number_field(n, t)
+        assert _first_non_integral(f, num, den) == first, (n, t, num, den)
+        assert is_algebraic_integer(field_elt(f, num, den)) == (first is None), (n, t, num, den)
+    rng = random.Random(23)
+    accepted = 0
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        f = number_field(n, rng.choice(GATE_PASSING_T[n]))
+        den = rng.choice([2, 3, 4, 9])
+        num = [rng.randint(-3, 3) * rng.choice([1, den]) for _ in range(n)]
+        expected = _first_non_integral(f, num, den) is None
+        accepted += expected
+        assert is_algebraic_integer(field_elt(f, num, den)) == expected, (n, f.t, num, den)
+    assert accepted

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -95,6 +96,35 @@ def test_left_kernel_mod_p():
         assert len(basis) == 1  # rank 2 over F_p for p > 2; over F_2 row 2 = 2*row1 = 0
         if p == 2:
             assert basis == [[0, 1, 0]]
+
+
+def test_left_kernel_mod_p_is_rref_basis_of_the_kernel():
+    """The basis spans exactly the kernel found by brute force and is in
+    reduced row echelon form: increasing pivots equal to 1, zero above and
+    below each pivot."""
+    rng = random.Random(11)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]
+        basis = left_kernel_mod_p(m, p)
+        kernel = {
+            y
+            for y in product(range(p), repeat=rows)
+            if all(sum(y[i] * m[i][j] for i in range(rows)) % p == 0 for j in range(cols))
+        }
+        span = {
+            tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p for i in range(rows))
+            for cs in product(range(p), repeat=len(basis))
+        }
+        assert span == kernel and len(kernel) == p ** len(basis)
+        assert all(0 <= x < p for b in basis for x in b)
+        pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert pivots == sorted(set(pivots))
+        for k, q in enumerate(pivots):
+            assert [b[q] for b in basis] == [1 if i == k else 0 for i in range(len(basis))]
 
 
 def test_rat_matrix_inverse_examples():
