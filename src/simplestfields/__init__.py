@@ -6,7 +6,6 @@ they generate, and the periodic repetition of those bases across the integer
 parameter.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .cyclo import (
     CycloElt,
     CycloRing,
@@ -64,7 +63,6 @@ from .poly import Poly, discriminant, resultant
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "CycloElt",
     "CycloRing",
     "companion_ring",

@@ -1,13 +1,12 @@
-"""Pure-Python implementations of the hot integer kernels.
+"""The hot integer kernels: dense polynomial and lattice arithmetic over Z.
 
-Every function here has a compiled twin in ``_ckernels.pyx`` with the same
-signature and exact semantics; ``simplestfields._kernels`` picks one at
-import time.  Polynomials are dense coefficient lists of Python ints,
-index i = coefficient of X^i, no trailing zeros unless stated otherwise.
-Matrices are lists of row lists.
+Polynomials are dense coefficient lists of Python ints, index i =
+coefficient of X^i, no trailing zeros unless stated otherwise.  Matrices are
+sequences of rows.  A row argument (``rows`` of ``vec_reduce_mod_rows``,
+``solve_lower_coords`` and ``hnf_rows``) may be a tuple or a list: the
+kernels only index it and never write to it, so an order's fingerprint rows
+(tuples, as ``orders._start_order`` passes them) serve directly.
 """
-
-BACKEND = "python"
 
 
 def zx_trim(a):

@@ -180,6 +180,8 @@ def cmd_period_scan(args, started: float) -> int:
 def cmd_verify_tables(args, started: float) -> int:
     result: dict = {}
     ok = True
+    if args.scope in ("final", "all") and args.classes_12 < 1:
+        raise ValueError("--classes-12 must be at least 1")  # before the scans of the smaller degrees
 
     if args.scope in ("delta", "all"):
         check = check_dual_denominator_table(range(2, 13), args.samples)

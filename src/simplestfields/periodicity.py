@@ -26,7 +26,13 @@ from math import gcd, lcm
 
 from .family import disc_quadratic, specialize
 from .linalg import bareiss_det, rat_matrix_inverse
-from .numberfield import NumberField, field_trace_powers, number_field, trace_powers as _newton_traces
+from .numberfield import (
+    NumberField,
+    ParameterNotCoveredError,
+    field_trace_powers,
+    number_field,
+    trace_powers as _newton_traces,
+)
 from .numutil import factorize, p_adic_valuation
 from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate, require_covered
 from .poly import Poly
@@ -213,8 +219,11 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
     determinant is Q(t)^2 on the nose and the true front is 1 (the table
     value 3^0 * 3 is an upper multiple; this is also why the smallest period
     there is 1).  Per sampled parameter, the numeric lcm must divide the
-    formula value, with equality away from n = 3.
+    formula value, with equality away from n = 3.  Raises ValueError for
+    t_samples_per_n < 1, which would check the symbolic layer only.
     """
+    if t_samples_per_n < 1:
+        raise ValueError("at least one sampled parameter per degree is required")
     entries = []
     failures = []
     for n in n_values:
@@ -309,8 +318,11 @@ def period_scan(
     workers > 1 each pool task scans the interleaved slice jobs[i::workers]
     with its own start cache.  The report is deterministic and independent of
     the worker count.  Raises ValueError for n < 2, modulus < 1, an empty
-    range, workers < 1 or an unknown strategy; an error raised for one field
-    keeps its type and gains "(n=..., t=...)" in its message.
+    range, workers < 1, an unknown strategy or residues that leave no
+    parameter of the range, and ParameterNotCoveredError when the gate rejects
+    every remaining parameter, so a report always compares at least one field.
+    An error raised for one field keeps its type and gains "(n=..., t=...)"
+    in its message.
     """
     ts = sorted(set(t_range))
     if n < 2:
@@ -334,6 +346,13 @@ def period_scan(
             jobs.append(t)
         else:
             skipped.append((t, reason))
+    if not jobs and not skipped:
+        raise ValueError("no parameter of the range lies in the chosen residue classes")
+    if not jobs:
+        t, reason = skipped[0]
+        raise ParameterNotCoveredError(
+            f"the gate rejects all {len(skipped)} parameters of the range (first, t={t}: {reason})"
+        )
     slices = [(n, modulus, jobs[i::workers], strategy, gate) for i in range(min(workers, len(jobs)))]
     if len(slices) > 1:
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:

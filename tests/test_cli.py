@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from simplestfields.cli import main
 
@@ -80,6 +81,11 @@ def test_usage_error_exit_code(capsys):
         (["integral-basis", "--n", "6", "--t", "5"], 3, "not-covered"),
         (["period-scan", "--n", "4", "--modulus", "24", "--t-min", "5", "--t-max", "-5"], 2, "usage-error"),
         (["period-scan", "--n", "4", "--modulus", "24", "--t-min", "-5", "--t-max", "5", "--workers", "0"], 2, "usage-error"),
+        (["period-scan", "--n", "4", "--modulus", "24", "--t-min", "0", "--t-max", "10", "--residues"], 2, "usage-error"),
+        (["period-scan", "--n", "6", "--modulus", "36", "--t-min", "-12", "--t-max", "-12"], 3, "not-covered"),
+        (["verify-tables", "--scope", "delta", "--samples", "-2"], 2, "usage-error"),
+        (["verify-tables", "--scope", "delta", "--samples", "0"], 2, "usage-error"),
+        (["verify-tables", "--scope", "final", "--classes-12", "0"], 2, "usage-error"),
     ],
 )
 def test_exit_code_and_document(capsys, argv, code, status):
@@ -170,3 +176,56 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["schema"] == "simplest-fields/1"
+
+
+_N = st.one_of(st.integers(2, 6), st.integers(-2, 1)).map(str)
+
+
+@st.composite
+def _small_argv(draw):
+    """A small command line for integral-basis, period-scan or verify-tables
+    --scope delta, zero and negative values included: n <= 6, |t| <= 12.
+    Rarely --n is not an integer, which argparse rejects on its own."""
+    n = draw(st.one_of(_N, st.just("x")) if draw(st.integers(0, 9)) == 0 else _N)
+    command = draw(st.sampled_from(["integral-basis", "period-scan", "period-scan", "verify-tables"]))
+    if command == "integral-basis":
+        return [command, "--n", n, "--t", str(draw(st.integers(-12, 12)))]
+    if command == "verify-tables":
+        return [command, "--scope", "delta", "--samples", str(draw(st.integers(-2, 2)))]
+    t_min = draw(st.integers(-12, 12))
+    t_max = min(12, t_min + draw(st.integers(-2, 6)))  # a short range, sometimes empty
+    workers = draw(st.one_of(st.just(1), st.integers(-1, 2)))
+    argv = [command, "--n", n, "--modulus", str(draw(st.integers(-2, 40))),
+            "--t-min", str(t_min), "--t-max", str(t_max), "--workers", str(workers)]
+    if draw(st.booleans()):
+        argv += ["--residues"] + [str(r) for r in draw(st.lists(st.integers(-5, 40), max_size=3))]
+    return argv
+
+
+def _fields_checked(doc) -> int:
+    result = doc["result"]
+    if doc["command"]["subcommand"] == "integral-basis":
+        return len(result["orders"])
+    if doc["command"]["subcommand"] == "period-scan":
+        return sum(len(members) for members in result["classes"].values())
+    return int(result["dual_denominator_table"]["checked"])
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_small_argv())
+def test_cli_contract_on_small_arguments(capsys, argv):
+    """Every outcome is a documented exit code with a JSON document (argparse's
+    own exit 2 aside), and `ok` means at least one field or entry was checked."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        assert exc.code == 2
+        assert capsys.readouterr().out == ""
+        return
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2, 3)
+    assert doc["status"] == {0: "ok", 1: "fail", 2: "usage-error", 3: "not-covered"}[code]
+    if code == 0:
+        assert _fields_checked(doc) >= 1
+        if argv[0] == "verify-tables":  # the symbolic entry and every sample, per degree
+            assert _fields_checked(doc) == 11 * (1 + int(argv[-1]))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from simplestfields import orders, periodicity
-from simplestfields.numberfield import field_trace_powers, number_field, field_elt
+from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import integral_basis, parameter_gate, period_length_bound
 from simplestfields.periodicity import (
@@ -177,9 +177,18 @@ def test_period_scan_rejects_bad_arguments():
         ((4, 24, []), {}),
         ((4, 24, range(-5, 6)), {"workers": 0}),
         ((4, 24, range(-5, 6)), {"strategy": "guess"}),
+        ((4, 24, range(0, 11)), {"residues": []}),
+        ((4, 24, range(0, 11)), {"residues": [12, 13]}),
     ]:
         with pytest.raises(ValueError):
             period_scan(*args, **kwargs)
+    # every parameter gated out: not covered, with the count and the first reason
+    with pytest.raises(ParameterNotCoveredError, match=r"rejects all 1 parameters .*t=-12: not squarefree"):
+        period_scan(6, 36, [-12])
+    with pytest.raises(ValueError):
+        check_dual_denominator_table(range(2, 4), 0)
+    with pytest.raises(ValueError):
+        check_dual_denominator_table(range(2, 4), -2)
 
 
 def test_period_scan_names_the_failing_field(monkeypatch):
