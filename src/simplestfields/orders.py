@@ -9,9 +9,13 @@ each other's oracle:
     the trace form mod p (the v for which every Tr((v . basis) * beta^j / p)
     is integral) and test (v . basis)/p for integrality via the
     characteristic polynomial, enlarging until a full sweep finds nothing;
-  * "radical": kernel of the q-power (Frobenius) map gives the p-radical,
-    whose multiplier ring is computed by exact linear algebra; iterate
-    until stable.
+  * "radical": Pohst-Zassenhaus rounds on the order's multiplication table
+    T[i][j], the coordinates of basis_i * basis_j over the basis (Cohen,
+    GTM 138, Algorithm 6.1.8).  The Frobenius x -> x^p has the matrix M_p
+    over F_p (rows basis_i^p mod p, read off T), the p-radical I is the
+    kernel of its q-th power (q = p^k >= n), and the multiplier ring of I
+    is searched inside I only, from the products of the radical generators
+    mod p^2; iterate until stable.
 
 The saturation loop (_saturate) may start from the p-maximal order of
 another parameter instead of Z[beta]; a period scan passes the one it found
@@ -20,11 +24,13 @@ last in the same residue class.  Such a start is a make_order fingerprint
 den contains den * beta^i for every i and is closed under all n(n+1)/2
 products of its basis rows under the new defining polynomial: it is then an
 order of p-power index over Z[beta], so it lies in the p-maximal order.
-Otherwise saturation starts from Z[beta].  Either way the unchanged round
-loop runs until a round finds nothing to add, so every p-maximal order
-passes the same stopping test (Cohen, GTM 138, 6.1: an order is p-maximal
-iff the multiplier ring of its p-radical is the order itself), and the
-canonical HNF makes the result independent of the start.
+Those products are exactly the multiplication table, so an accepted start
+hands its table to the first radical round, which then needs no polynomial
+product.  Otherwise saturation starts from Z[beta].  Either way the
+unchanged round loop runs until a round finds nothing to add, so every
+p-maximal order passes the same stopping test (Cohen, GTM 138, 6.1: an
+order is p-maximal iff the multiplier ring of its p-radical is the order
+itself), and the canonical HNF makes the result independent of the start.
 
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import gcd, lcm
 
-from ._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
+from ._kernels import hnf_rows, solve_lower_coords, zx_mulmod
 from .family import disc_quadratic
 from .linalg import left_kernel_mod_p
 from .numberfield import (
@@ -122,76 +128,94 @@ def order_discriminant(o: Order) -> int:
     return q
 
 
-def _order_mul(u, v, f, den):
-    """Product of two order elements given as numerator vectors over den."""
-    return zx_divexact(zx_mulmod(u, v, f), den)
+def _mult_table(field: NumberField, order: Order):
+    """T[i][j]: the coordinates of basis_i * basis_j over the order's basis.
 
-
-def _order_pow(w, e: int, f, den, basis, p: int):
-    """w^e as an order element numerator, reduced mod p * lattice after each step."""
-    result = None
-    base = list(w)
-    k = e
-    while k:
-        if k & 1:
-            result = base if result is None else _order_mul(result, base, f, den)
-            result = vec_reduce_mod_rows(result, basis, p)
-        k >>= 1
-        if k:
-            base = _order_mul(base, base, f, den)
-            base = vec_reduce_mod_rows(base, basis, p)
-    return result
-
-
-def _frobenius_power(n: int, p: int) -> int:
-    q = p
-    while q < n:
-        q *= p
-    return q
-
-
-def _radical_basis(field: NumberField, order: Order, p: int):
-    """HNF basis of den * rad(p * order), or None when the radical is p * order."""
+    The product of two numerators over den is a numerator over den^2, so its
+    coordinates solve c . (den * basis) = basis_i * basis_j mod f.  Raises
+    ValueError when a product is not in the lattice over den.
+    """
     n = field.n
     f = list(field.poly.coeffs)
-    den, basis = order.den, [list(r) for r in order.basis]
-    q = _frobenius_power(n, p)
+    basis = order.basis
+    scaled = [[order.den * x for x in row] for row in basis]
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = solve_lower_coords(scaled, zx_mulmod(basis[i], basis[j], f))
+    return table
+
+
+def _combine(coeffs, vectors, m: int):
+    """sum_k coeffs[k] * vectors[k], reduced mod m."""
+    out = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * x for a, x in zip(out, v)]
+    return [a % m for a in out]
+
+
+def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | None:
+    """One multiplier-ring step on the multiplication table of the order;
+    None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
+
+    All coordinates are over the order's basis.  x -> x^p is F_p-linear on
+    O/pO; row i of its matrix M is basis_i^p mod p, read off the table, and
+    the radical I/pO is the left kernel of M^k (p^k >= n) in reduced row
+    echelon form.  The multiplier ring is (1/p) U with U = {y : y I <= p I}.
+    U lies in I (y * p * 1 is in p I), so U/pO is searched inside the
+    radical: y = sum c_j rad_j, with conditions y * rad_j' in p I.  The
+    products rad_j * rad_j' are formed mod p^2 and read off in the basis
+    {rad_j} + {p e_l : l not a pivot} of I, whose coordinates mod p decide
+    membership in p I.
+    """
+    n = field.n
+    pp = p * p
+    tab = [[[x % pp for x in c] for c in row] for row in table]
     frob = []
     for i in range(n):
-        w = _order_pow(basis[i], q, f, den, basis, p)
-        coords = solve_lower_coords(basis, w)
-        frob.append([c % p for c in coords])
-    kernel = left_kernel_mod_p(frob, p)
+        v = [x % p for x in tab[i][i]]
+        for _ in range(p - 2):
+            v = _combine(v, tab[i], p)  # v * basis_i, since T is symmetric
+        frob.append(v)
+    power = frob
+    q = p
+    while q < n:
+        power = [_combine(row, frob, p) for row in power]
+        q *= p
+    rad = left_kernel_mod_p(power, p)
+    if not rad:
+        return None
+    r = len(rad)
+    pivots = [row.index(1) for row in rad]
+    free = [l for l in range(n) if l not in pivots]
+    conditions = [[] for _ in range(r)]
+    flat = [[x for c in row for x in c] for row in tab]  # row a: basis_a * basis_b for every b
+    for j in range(r):
+        s = _combine(rad[j], flat, pp)
+        times = [s[b * n : (b + 1) * n] for b in range(n)]  # rad_j * basis_b
+        for k in range(j, r):
+            w = _combine(rad[k], times, pp)
+            a = [w[c] for c in pivots]
+            coords = [x % p for x in a]
+            for l in free:
+                d, e = divmod((w[l] - sum(x * row[l] for x, row in zip(a, rad))) % pp, p)
+                if e:
+                    raise AssertionError("product of radical elements is not in the radical")
+                coords.append(d)
+            conditions[j] += coords
+            if k != j:
+                conditions[k] += coords
+    kernel = left_kernel_mod_p(conditions, p)
     if not kernel:
         return None
-    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
+    basis = order.basis
+    rows = []
+    for c in kernel:
+        y = _combine(c, rad, p)
+        rows.append([sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)])
     rows += [[p * x for x in row] for row in basis]
-    return hnf_rows(rows, n)
-
-
-def _radical_round(field: NumberField, order: Order, p: int) -> Order | None:
-    """One multiplier-ring step; None when the order is already p-maximal."""
-    n = field.n
-    f = list(field.poly.coeffs)
-    den, basis = order.den, [list(r) for r in order.basis]
-    rad = _radical_basis(field, order, p)
-    if rad is None:
-        return None
-    # y in order with y * radical <= p * radical, as a kernel mod p
-    t_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = _order_mul(basis[i], rad[j], f, den)
-            coords = solve_lower_coords(rad, w)
-            row.extend(c % p for c in coords)
-        t_rows.append(row)
-    kernel = left_kernel_mod_p(t_rows, p)
-    if not kernel:
-        return None
-    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
-    rows += [[p * x for x in row] for row in basis]
-    enlarged = make_order(field, p * den, rows)
+    enlarged = make_order(field, p * order.den, rows)
     if enlarged.fingerprint == order.fingerprint:
         return None
     return enlarged
@@ -249,21 +273,18 @@ def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order 
     return None
 
 
-def _start_order(field: NumberField, start) -> Order | None:
-    """The order with fingerprint start = (den, HNF rows), or None unless the
-    lattice over den contains Z[beta] and is closed under multiplication."""
+def _start_order(field: NumberField, start) -> tuple[Order, list] | None:
+    """(order, multiplication table) for the fingerprint start = (den, HNF
+    rows), or None unless the lattice over den contains Z[beta] and is closed
+    under multiplication."""
     den, basis = start
-    n = field.n
-    f = list(field.poly.coeffs)
+    order = Order(field, den, tuple(tuple(r) for r in basis))
     try:
-        for i in range(n):
+        for i in range(field.n):
             solve_lower_coords(basis, [0] * i + [den])
-        for i in range(n):
-            for j in range(i, n):
-                solve_lower_coords(basis, _order_mul(basis[i], basis[j], f, den))
-    except ValueError:  # a product is not over den, or a vector is outside the lattice
+        return order, _mult_table(field, order)
+    except ValueError:  # den * beta^i or a product is outside the lattice over den
         return None
-    return Order(field, den, tuple(tuple(r) for r in basis))
 
 
 def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
@@ -271,22 +292,22 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
 
     start is None or the fingerprint of a p-maximal order of the same degree
     (so canonical, with den a power of p); it is saturated from instead of
-    Z[beta] when _start_order accepts it.
+    Z[beta] when _start_order accepts it, and its table serves the first
+    radical round.
     """
     if p_adic_valuation(field.disc, p) < 2:
         return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
-    order = None if start is None else _start_order(field, start)
-    if order is None:
-        order = power_order(field)
+    accepted = None if start is None else _start_order(field, start)
+    order, table = accepted or (power_order(field), None)
     traces = field_trace_powers(field, 2 * field.n - 2) if strategy == "enumerate" else None
     while True:
         if strategy == "radical":
-            nxt = _radical_round(field, order, p)
+            nxt = _radical_round(field, order, p, table or _mult_table(field, order))
         else:
             nxt = _enumerate_round(field, order, p, traces)
         if nxt is None:
             return order
-        order = nxt
+        order, table = nxt, None
 
 
 def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Order:

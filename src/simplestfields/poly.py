@@ -154,12 +154,17 @@ class Poly:
         return acc
 
     def shift(self, c) -> "Poly":
-        """Taylor shift: the polynomial X -> self(X + c), exact."""
-        acc = Poly()
-        xc = Poly((c, 1))
-        for coeff in reversed(self.coeffs):
-            acc = acc * xc + Poly.const(coeff)
-        return acc
+        """Taylor shift: the polynomial X -> self(X + c), exact.
+
+        Repeated synthetic division by X - c on the coefficient list, in
+        place: pass i leaves a[i] as the i-th Taylor coefficient at c.
+        """
+        a = list(self.coeffs)
+        n = len(a) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] = a[j] + a[j + 1] * c
+        return Poly(a)
 
     def deriv(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -3,12 +3,18 @@
 These deliberately avoid the package's own computation paths: the resultant
 oracle is a Sylvester determinant, the squarefree oracle is naive trial
 division, traces come from companion-matrix powers, the rational inverse is
-plain Gauss-Jordan over Fractions, and the degree-2 maximal order comes from
-the classical quadratic-field classification.
+plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
+the classical quadratic-field classification, and the radical round works on
+polynomial products over the power basis instead of the order's
+multiplication table.
 """
 
 from fractions import Fraction
 from itertools import product
+
+from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
+from simplestfields.linalg import left_kernel_mod_p
+from simplestfields.orders import make_order
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:
@@ -172,3 +178,75 @@ def resultant_char_poly(f: list[int], num: list[int], den: int) -> list[Fraction
         for k, c in enumerate(lagrange):
             coeffs[k] += values[i] * c / scale
     return coeffs
+
+
+def _order_mul(u, v, f, den):
+    return zx_divexact(zx_mulmod(u, v, f), den)
+
+
+def _order_pow(w, e: int, f, den, basis, p: int):
+    """w^e as an order element numerator, reduced mod p * lattice after each step."""
+    result = None
+    base = list(w)
+    k = e
+    while k:
+        if k & 1:
+            result = base if result is None else _order_mul(result, base, f, den)
+            result = vec_reduce_mod_rows(result, basis, p)
+        k >>= 1
+        if k:
+            base = _order_mul(base, base, f, den)
+            base = vec_reduce_mod_rows(base, basis, p)
+    return result
+
+
+def _radical_basis(field, order, p: int):
+    """HNF basis of den * rad(p * order) over the power basis, or None when
+    the radical is p * order."""
+    n = field.n
+    f = list(field.poly.coeffs)
+    den, basis = order.den, [list(r) for r in order.basis]
+    q = p
+    while q < n:
+        q *= p
+    frob = []
+    for i in range(n):
+        w = _order_pow(basis[i], q, f, den, basis, p)
+        coords = solve_lower_coords(basis, w)
+        frob.append([c % p for c in coords])
+    kernel = left_kernel_mod_p(frob, p)
+    if not kernel:
+        return None
+    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
+    rows += [[p * x for x in row] for row in basis]
+    return hnf_rows(rows, n)
+
+
+def power_basis_radical_round(field, order, p: int):
+    """One multiplier-ring step from polynomial products mod f: the Frobenius
+    q-power of every basis row, the radical in HNF over the power basis, and
+    the kernel over all of O/pO of y -> (y * rad_j mod p * radical); None
+    when the order is already p-maximal."""
+    n = field.n
+    f = list(field.poly.coeffs)
+    den, basis = order.den, [list(r) for r in order.basis]
+    rad = _radical_basis(field, order, p)
+    if rad is None:
+        return None
+    t_rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            w = _order_mul(basis[i], rad[j], f, den)
+            coords = solve_lower_coords(rad, w)
+            row.extend(c % p for c in coords)
+        t_rows.append(row)
+    kernel = left_kernel_mod_p(t_rows, p)
+    if not kernel:
+        return None
+    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
+    rows += [[p * x for x in row] for row in basis]
+    enlarged = make_order(field, p * den, rows)
+    if enlarged.fingerprint == order.fingerprint:
+        return None
+    return enlarged

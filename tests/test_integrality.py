@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simplestfields._kernels import zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
@@ -20,6 +21,7 @@ from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import (
     STRATEGIES,
     _enumerate_round,
+    _mult_table,
     _radical_round,
     _saturate,
     _start_order,
@@ -39,6 +41,7 @@ from simplestfields.poly import Poly
 from oracles import (
     brute_force_trace_candidates,
     matrix_trace_powers,
+    power_basis_radical_round,
     quadratic_maximal_fingerprint,
     resultant_char_poly,
 )
@@ -340,13 +343,21 @@ def test_trace_candidates_match_brute_force_filter():
 
 def test_start_order_checks():
     """A start lattice is used only when it contains Z[beta] and is closed
-    under products."""
+    under products; an accepted start comes with its multiplication table."""
     f = number_field(4, 3)
     n = f.n
+    poly = list(f.poly.coeffs)
     o = p_maximal_order(f, 2)
     assert o.den == 2
-    assert _start_order(f, o.fingerprint) == o
-    assert _start_order(f, power_order(f).fingerprint) == power_order(f)
+    for start in (o, power_order(f)):
+        order, table = _start_order(f, start.fingerprint)
+        assert order == start
+        den, basis = order.den, order.basis
+        for i in range(n):
+            for j in range(n):
+                product = [sum(c * row[k] for c, row in zip(table[i][j], basis)) for k in range(n)]
+                want = zx_divexact(zx_mulmod(basis[i], basis[j], poly), den)
+                assert product == want + [0] * (n - len(want)), (i, j)
     diag = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     low = [row[:] for row in diag]
     low[1] = [1, 4, 0, 0]
@@ -359,9 +370,53 @@ def test_start_order_checks():
 def _radical_chain(field, p):
     """Orders from Z[beta] to the p-maximal order, one radical round apart."""
     chain = [power_order(field)]
-    while (nxt := _radical_round(field, chain[-1], p)) is not None:
+    while (nxt := _radical_round(field, chain[-1], p, _mult_table(field, chain[-1]))) is not None:
         chain.append(nxt)
     return chain
+
+
+def _walk_against_oracle(field, p, order, table):
+    """Radical rounds from order (with its table) to the p-maximal order,
+    each checked against the power-basis round; returns the rounds taken."""
+    rounds = 0
+    while True:
+        nxt = _radical_round(field, order, p, table)
+        assert nxt == power_basis_radical_round(field, order, p), (field.n, field.t, p, rounds)
+        if nxt is None:
+            return rounds
+        order, table, rounds = nxt, _mult_table(field, nxt), rounds + 1
+
+
+def test_radical_round_matches_power_basis_oracle():
+    """Every round of the table-based radical chain returns the same Order,
+    or None, as the round over the power basis: n = 2..12 and every
+    candidate prime, so p = 5, 7 and 11 take the odd-p Frobenius path.  For
+    each (n, p), chains from Z[beta] are walked for the gate-passing t
+    nearest 0 until three of them took at least two rounds; each of those is
+    walked again from an accepted start, the p-maximal order of a nearest
+    other t of the same class modulo the p-part of the period."""
+    long_chains, accepted_starts = set(), 0
+    for n in range(2, 13):
+        ts = sorted((t for t in range(-30, 31) if parameter_gate(n, t)[0]), key=abs)
+        for p in candidate_primes(n):
+            part = p ** p_adic_valuation(FINAL_PERIOD_TABLE.get(n, 1), p)
+            long = 0
+            for t in ts[:8]:
+                field = number_field(n, t)
+                start = power_order(field)
+                if _walk_against_oracle(field, p, start, _mult_table(field, start)) < 2:
+                    continue
+                long_chains.add((n, p))
+                other = next(u for k in range(1, 99) for u in (t - k * part, t + k * part) if parameter_gate(n, u)[0])
+                accepted = _start_order(field, p_maximal_order(number_field(n, other), p).fingerprint)
+                if accepted is not None:
+                    accepted_starts += 1
+                    _walk_against_oracle(field, p, *accepted)
+                long += 1
+                if long == 3:
+                    break
+    assert {(n, 3) for n in range(4, 13)} | {(4, 2), (8, 2), (12, 2)} <= long_chains
+    assert accepted_starts >= 20
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
