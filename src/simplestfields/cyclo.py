@@ -25,7 +25,8 @@ def cyclotomic_polynomial(n: int) -> Poly:
     for d in range(1, n):
         if n % d == 0:
             q, r = divmod(num, cyclotomic_polynomial(d))
-            assert r.is_zero
+            if not r.is_zero:
+                raise AssertionError(f"Phi_{d} does not divide y^{n} - 1")
             num = q
     return num
 

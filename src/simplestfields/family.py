@@ -60,11 +60,6 @@ def family_poly_at(n: int, m) -> Poly:
     return Poly([c(mval) for c in family_poly(n).coeffs])
 
 
-def parameter_value(n: int, t: int) -> Fraction:
-    """The parameter substitution rule: m = t, or t/3 when 3 divides n."""
-    return Fraction(t, 3) if n % 3 == 0 else Fraction(t)
-
-
 def disc_quadratic(n: int, t: int) -> int:
     """The quadratic in t carried by the discriminant: t^2+t+1, or t^2+3t+9 when 3 | n."""
     return t * t + 3 * t + 9 if n % 3 == 0 else t * t + t + 1
@@ -81,17 +76,18 @@ class SpecializedPoly:
 
 
 def specialize(n: int, t: int) -> SpecializedPoly:
-    """Member of the family at integer parameter t (integer coefficients, checked)."""
+    """Member of the family at integer parameter t (integer coefficients, checked):
+    m = t, or t/3 when 3 | n, put into each coefficient c_0 + c_1 * m exactly."""
     if n < 2:
         raise ValueError("degree must be at least 2")
-    p = family_poly_at(n, parameter_value(n, t))
+    s = 3 if n % 3 == 0 else 1
     coeffs = []
-    for c in p.coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise AssertionError(f"non-integer coefficient {f} at n={n}, t={t}")
-        coeffs.append(f.numerator)
-    rule = "t/3" if n % 3 == 0 else "t"
+    for c in family_poly(n).coeffs:
+        q, r = divmod(c[0] * s + c[1] * t, s)
+        if r:
+            raise AssertionError(f"non-integer coefficient at n={n}, t={t}")
+        coeffs.append(q)
+    rule = "t/3" if s == 3 else "t"
     return SpecializedPoly(n, t, Poly(coeffs), rule)
 
 
@@ -106,9 +102,10 @@ def discriminant_formula_t(n: int, t: int) -> int:
     if n % 3 == 0:
         # the 3-exponent (n-1)(n-6)/2 is negative for n = 3 and cancels into n^n
         e = (n - 1) * (n - 6) // 2
-        value = Fraction(3) ** e * n**n * (t * t + 3 * t + 9) ** (n - 1)
-        assert value.denominator == 1
-        return value.numerator
+        q, r = divmod(3 ** max(e, 0) * n**n * (t * t + 3 * t + 9) ** (n - 1), 3 ** max(-e, 0))
+        if r:
+            raise AssertionError(f"non-integral discriminant closed form at n={n}, t={t}")
+        return q
     return 3 ** ((n - 1) * (n - 2) // 2) * n**n * (t * t + t + 1) ** (n - 1)
 
 

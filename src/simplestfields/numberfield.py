@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._kernels import zx_mulmod
-from .family import SpecializedPoly, disc_quadratic, discriminant_formula_t, parameter_value, specialize
+from .family import disc_quadratic, discriminant_formula_t, specialize
 from .numutil import factorize
 from .poly import Poly, discriminant
 
@@ -35,21 +35,24 @@ class NumberField:
     disc: int
     witness: int | None  # Eisenstein witness prime, when one exists
 
-    @property
-    def certified_irreducible(self) -> bool:
-        return self.witness is not None
-
 
 @lru_cache(maxsize=4096)
 def number_field(n: int, t: int) -> NumberField:
-    """Construct the field data; the discriminant is computed by resultant and
-    cross-checked against the closed form."""
-    sp = specialize(n, t)
-    d_res = discriminant(sp.poly)
-    d_formula = discriminant_formula_t(n, t)
-    if d_res != d_formula:
+    """Construct the field data, once per parameter.
+
+    The discriminant is computed by resultant and cross-checked against the
+    closed form.  The witness is read off the factorization of the parameter
+    quadratic and verified: the shifted minimal polynomial must be
+    Eisenstein at it.
+    """
+    f = specialize(n, t).poly
+    disc = discriminant_formula_t(n, t)
+    if discriminant(f) != disc:
         raise AssertionError(f"discriminant mismatch at n={n}, t={t}")
-    return NumberField(n, t, sp.poly, d_formula, eisenstein_witness(n, t))
+    witness = witness_prime(factorize(disc_quadratic(n, t)))
+    if witness is not None and not is_eisenstein(_shifted(n, t, f), witness):
+        raise AssertionError(f"witness {witness} fails the Eisenstein check at n={n}, t={t}")
+    return NumberField(n, t, f, disc, witness)
 
 
 @dataclass(frozen=True)
@@ -146,24 +149,16 @@ def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
     return trace_powers(field.poly.coeffs, k_max)
 
 
+def witness_prime(fac: dict[int, int]) -> int | None:
+    """The least prime p != 3 of exponent 1 in a factorization, or None."""
+    return next((p for p, e in fac.items() if p != 3 and e == 1), None)
+
+
 def eisenstein_witness(n: int, t: int) -> int | None:
     """A prime p != 3 with p-valuation exactly 1 in the parameter quadratic,
     verified to make the shifted minimal polynomial Eisenstein; None when the
     sufficient irreducibility condition fails."""
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    q = disc_quadratic(n, t)
-    witness = None
-    for p, e in factorize(q).items():
-        if p != 3 and e == 1:
-            witness = p
-            break
-    if witness is None:
-        return None
-    shifted = shifted_min_poly(n, t)
-    if not is_eisenstein(shifted, witness):
-        raise AssertionError(f"witness {witness} fails the Eisenstein check at n={n}, t={t}")
-    return witness
+    return number_field(n, t).witness
 
 
 def shifted_min_poly(n: int, t: int) -> Poly:
@@ -172,20 +167,14 @@ def shifted_min_poly(n: int, t: int) -> Poly:
     Both are integer monic polynomials; this is the polynomial whose
     Eisenstein property certifies irreducibility and index coprimality.
     """
-    m = parameter_value(n, t)
-    sp = specialize(n, t)
-    shifted = sp.poly.shift(m)  # minimal polynomial of beta - m, rational coefficients
-    if n % 3 != 0:
-        out = [int(Fraction(c)) for c in shifted.coeffs]
-        return Poly(out)
-    # scale: minimal polynomial of 3*(beta - m) = 3*beta - t
-    out = []
-    for i, c in enumerate(shifted.coeffs):
-        v = Fraction(c) * 3 ** (n - i)
-        if v.denominator != 1:
-            raise AssertionError("scaled shift is not integral")
-        out.append(v.numerator)
-    return Poly(out)
+    return _shifted(n, t, number_field(n, t).poly)
+
+
+def _shifted(n: int, t: int, f: Poly) -> Poly:
+    """f(X + t), or 3^n * f(X/3) shifted by t when 3 divides n, in integers."""
+    if n % 3 == 0:
+        f = Poly([c * 3 ** (n - i) for i, c in enumerate(f.coeffs)])
+    return f.shift(t)
 
 
 def is_eisenstein(p: Poly, prime: int) -> bool:

@@ -51,8 +51,9 @@ from .numberfield import (
     field_elt,
     field_trace_powers,
     is_algebraic_integer,
+    witness_prime,
 )
-from .numutil import factorize, largest_square_root_divisor, p_adic_valuation, squarefree, three_free_part
+from .numutil import factorize, largest_square_root_divisor, p_adic_valuation, three_free_part
 
 STRATEGIES = ("enumerate", "radical")
 GATES = ("strict", "relaxed")
@@ -324,17 +325,18 @@ def candidate_primes(n: int) -> list[int]:
 
 
 def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
-    """Check the squarefree hypothesis on the parameter quadratic plus the
-    existence of an Eisenstein witness prime.  Returns (ok, reason)."""
+    """Check the squarefree hypothesis on the parameter quadratic (on its
+    3-free part under the relaxed gate) plus the existence of an Eisenstein
+    witness prime, both from one factorization.  Returns (ok, reason)."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     q = disc_quadratic(n, t)
-    tested = q if gate == "strict" else three_free_part(q)
-    if abs(tested) > 1 and not squarefree(tested):
-        fac = factorize(tested)
-        p = next(p for p, e in fac.items() if e > 1)
-        return False, f"not squarefree: {p}^2 divides {tested}"
-    if not any(p != 3 and e == 1 for p, e in factorize(q).items()):
+    fac = factorize(q)
+    square = next((p for p, e in fac.items() if e > 1 and (gate == "strict" or p != 3)), None)
+    if square is not None:
+        tested = q if gate == "strict" else three_free_part(q)
+        return False, f"not squarefree: {square}^2 divides {tested}"
+    if witness_prime(fac) is None:
         return False, f"no Eisenstein witness prime: {q} has no simple prime factor other than 3"
     return True, "ok"
 

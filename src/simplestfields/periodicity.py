@@ -24,17 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .family import disc_quadratic, specialize
+from .family import disc_quadratic
 from .linalg import bareiss_det, rat_matrix_inverse
-from .numberfield import (
-    NumberField,
-    ParameterNotCoveredError,
-    field_trace_powers,
-    number_field,
-    trace_powers as _newton_traces,
-)
+from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
-from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate, require_covered
+from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate
 from .poly import Poly
 
 # Exponent of 3 in the dual-basis denominator law d = 3^e * n * Q(t), n = 2..12.
@@ -98,8 +92,7 @@ def dual_basis(field: NumberField) -> DualBasis:
 
 
 def _symbolic_trace_matrix_at(n: int, t0: int) -> list[list[int]]:
-    f = specialize(n, t0).poly
-    p = _newton_traces(f.coeffs, 2 * n - 2)
+    p = field_trace_powers(number_field(n, t0), 2 * n - 2)
     return [[p[i + j] for j in range(n)] for i in range(n)]
 
 
@@ -112,7 +105,8 @@ def _adjugate_at(n: int, t0: int):
         row = []
         for j in range(n):
             v = inv[i][j] * det0
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise AssertionError("non-integral adjugate entry")
             row.append(v.numerator)
         adj0.append(row)
     return det0, adj0
@@ -178,9 +172,11 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     front_poly = det_poly
     for _ in range(n - 1):
         quo, rem = divmod(front_poly, q_poly)
-        assert rem.is_zero
+        if not rem.is_zero:
+            raise AssertionError("the parameter quadratic does not divide the determinant n-1 times")
         front_poly = quo
-    assert front_poly.degree == 0
+    if front_poly.degree != 0:
+        raise AssertionError("the determinant is not a constant times a power of the parameter quadratic")
     front = int(front_poly.lc)
     d_int = 1
     d_qpow = 0
@@ -257,21 +253,21 @@ def canonical_basis(field: NumberField, strategy: str = "radical", gate: str = "
 
 
 def _scan_slice(args) -> list[tuple[int, Fingerprint]]:
-    """Fingerprints of the gate-passing parameters ts, in order.
+    """Fingerprints of the parameters ts, in order.
 
     Each prime p with p^v = p^v_p(modulus) > 1 saturates from the last
     p-maximal order with den > 1 of the same class of t modulo p^v, kept in
-    a cache local to this call.  The strategy was checked by period_scan,
-    so the scan calls _saturate directly.
+    a cache local to this call.  period_scan has already checked the
+    strategy and passed every t through the gate, so the scan builds each
+    field and calls _saturate directly.
     """
-    n, modulus, ts, strategy, gate = args
+    n, modulus, ts, strategy = args
     prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
     starts: dict[tuple[int, int], Fingerprint] = {}
     out = []
     for t in ts:
         try:
             field = number_field(n, t)
-            require_covered(field, gate)
             orders = []
             for p, part in prime_parts.items():
                 key = (p, t % part)
@@ -314,7 +310,9 @@ def period_scan(
     fingerprints within each class.
 
     t_range is any nonempty iterable of integers; residues optionally restricts
-    the scan to chosen classes (used for reduced sweeps at large moduli).  With
+    the scan to chosen classes (used for reduced sweeps at large moduli).  The
+    gate is checked here, once per parameter; a rejected parameter is
+    reported in skipped with its reason and never reaches a slice.  With
     workers > 1 each pool task scans the interleaved slice jobs[i::workers]
     with its own start cache.  The report is deterministic and independent of
     the worker count.  Raises ValueError for n < 2, modulus < 1, an empty
@@ -353,7 +351,7 @@ def period_scan(
         raise ParameterNotCoveredError(
             f"the gate rejects all {len(skipped)} parameters of the range (first, t={t}: {reason})"
         )
-    slices = [(n, modulus, jobs[i::workers], strategy, gate) for i in range(min(workers, len(jobs)))]
+    slices = [(n, modulus, jobs[i::workers], strategy) for i in range(min(workers, len(jobs)))]
     if len(slices) > 1:
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             parts = list(pool.map(_scan_slice, slices))

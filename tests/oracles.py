@@ -4,17 +4,21 @@ These deliberately avoid the package's own computation paths: the resultant
 oracle is a Sylvester determinant, the squarefree oracle is naive trial
 division, traces come from companion-matrix powers, the rational inverse is
 plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
-the classical quadratic-field classification, and the radical round works on
+the classical quadratic-field classification, the radical round works on
 polynomial products over the power basis instead of the order's
-multiplication table.
+multiplication table, the shifted minimal polynomial is a Taylor shift by
+the rational parameter, and the parameter gate factorizes once per test.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
+from simplestfields.family import disc_quadratic, specialize
 from simplestfields.linalg import left_kernel_mod_p
+from simplestfields.numutil import factorize, squarefree, three_free_part
 from simplestfields.orders import make_order
+from simplestfields.poly import Poly
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:
@@ -250,3 +254,32 @@ def power_basis_radical_round(field, order, p: int):
     if enlarged.fingerprint == order.fingerprint:
         return None
     return enlarged
+
+
+def fraction_shifted_min_poly(n: int, t: int) -> Poly:
+    """Minimal polynomial of beta - t, or of 3*beta - t when 3 divides n, by
+    the Taylor shift of the family member by the parameter m = t or t/3
+    over Fractions, scaled by 3^(n-i) in the second case."""
+    m = Fraction(t, 3) if n % 3 == 0 else Fraction(t)
+    shifted = specialize(n, t).poly.shift(m)
+    scale = 3 if n % 3 == 0 else 1
+    out = []
+    for i, c in enumerate(shifted.coeffs):
+        v = c * scale ** (n - i)
+        assert v.denominator == 1
+        out.append(v.numerator)
+    return Poly(out)
+
+
+def two_factorization_parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
+    """The parameter gate with a squarefree test on the tested number (the
+    quadratic, or its 3-free part under the relaxed gate) and a separate
+    factorization of the quadratic for the witness prime."""
+    q = disc_quadratic(n, t)
+    tested = q if gate == "strict" else three_free_part(q)
+    if abs(tested) > 1 and not squarefree(tested):
+        p = next(p for p, e in factorize(tested).items() if e > 1)
+        return False, f"not squarefree: {p}^2 divides {tested}"
+    if not any(p != 3 and e == 1 for p, e in factorize(q).items()):
+        return False, f"no Eisenstein witness prime: {q} has no simple prime factor other than 3"
+    return True, "ok"

@@ -60,10 +60,13 @@ def test_specialize_examples():
 
 
 def test_specialize_always_integral():
+    """Integer specialization equals the family polynomial evaluated at the
+    rational parameter m = t, or t/3 when 3 | n."""
     for n in range(2, 13):
         for t in range(-100, 101):
             sp = specialize(n, t)
             assert all(isinstance(c, int) for c in sp.poly.coeffs)
+            assert sp.poly == family_poly_at(n, Fraction(t, 3) if n % 3 == 0 else t), (n, t)
 
 
 def test_disc_quadratic():

@@ -17,7 +17,7 @@ from simplestfields.numberfield import (
     number_field,
     shifted_min_poly,
 )
-from simplestfields.numutil import p_adic_valuation
+from simplestfields.numutil import factorize, p_adic_valuation
 from simplestfields.orders import (
     STRATEGIES,
     _enumerate_round,
@@ -40,10 +40,12 @@ from simplestfields.poly import Poly
 
 from oracles import (
     brute_force_trace_candidates,
+    fraction_shifted_min_poly,
     matrix_trace_powers,
     power_basis_radical_round,
     quadratic_maximal_fingerprint,
     resultant_char_poly,
+    two_factorization_parameter_gate,
 )
 
 
@@ -101,6 +103,22 @@ def test_shifted_poly_is_eisenstein():
         shifted = shifted_min_poly(n, t)
         assert shifted.lc == 1
         assert is_eisenstein(shifted, p)
+
+
+def test_field_certificate_against_fraction_shift_and_two_factorization_gate():
+    """The integer shift, the witness read off one factorization and the
+    one-factorization gate agree with the Fraction-shift route and the
+    squarefree-then-factorize gate, reasons included."""
+    for n in range(2, 13):
+        for t in range(-40, 41):
+            shifted = fraction_shifted_min_poly(n, t)
+            assert shifted_min_poly(n, t) == shifted, (n, t)
+            q = disc_quadratic(n, t)
+            want = next((p for p, e in factorize(q).items() if p != 3 and e == 1), None)
+            assert eisenstein_witness(n, t) == want, (n, t)
+            assert want is None or is_eisenstein(shifted, want)
+            for gate in ("strict", "relaxed"):
+                assert parameter_gate(n, t, gate) == two_factorization_parameter_gate(n, t, gate), (n, t, gate)
 
 
 def test_trace_powers_against_companion_matrix_oracle():
