@@ -2,7 +2,12 @@
 
 Factorization is sized for desk-scale inputs (parameters |t| up to a few
 thousand, so quadratics up to ~10^7): trial division over a cached prime
-sieve, with a deterministic Brent-rho fallback for anything larger.
+sieve, with a deterministic Brent-rho fallback for anything larger.  The
+sieve for an input n reaches the next power of two above sqrt(n), capped at
+TRIAL_DIVISION_BOUND, and each size is sieved once per process: the
+quadratics of parameters |t| < 10^4 stay below 10^8 and need primes below
+2^14 only, so no caller pays for the primes up to 10^6 unless its input
+is that large.
 """
 
 from fractions import Fraction
@@ -14,8 +19,9 @@ TRIAL_DIVISION_BOUND = 1_000_000
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=1)
-def _sieve(limit: int = TRIAL_DIVISION_BOUND) -> list[int]:
+@lru_cache(maxsize=None)  # one list per size, and factorize asks for at most 20 sizes
+def _sieve(limit: int) -> list[int]:
+    """The primes up to limit."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
@@ -86,7 +92,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorization of zero undefined")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _sieve():
+    for p in _sieve(min(1 << isqrt(n).bit_length(), TRIAL_DIVISION_BOUND)):
         if p * p > n:
             break
         while n % p == 0:

@@ -15,7 +15,10 @@ each other's oracle:
     over F_p (rows basis_i^p mod p, read off T), the p-radical I is the
     kernel of its q-th power (q = p^k >= n), and the multiplier ring of I
     is searched inside I only, from the products of the radical generators
-    mod p^2; iterate until stable.
+    mod p^2; iterate until stable.  That step reads nothing of the order but
+    p, n and the table mod p^2, so it is memoized on them (_radical_kernel):
+    the p-maximal orders of a period scan recur with the parameter, and so
+    do their tables.
 
 The saturation loop (_saturate) may start from the p-maximal order of
 another parameter instead of Z[beta]; a period scan passes the one it found
@@ -39,7 +42,8 @@ witness, so it cannot divide the index.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import lru_cache
+from itertools import product as iter_product, repeat
 from math import gcd, lcm
 
 from ._kernels import hnf_rows, solve_lower_coords, zx_mulmod
@@ -156,23 +160,39 @@ def _combine(coeffs, vectors, m: int):
     return [a % m for a in out]
 
 
-def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | None:
-    """One multiplier-ring step on the multiplication table of the order;
-    None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
+def _residue_width(m: int) -> int:
+    """Bytes per residue mod m in a _radical_kernel key."""
+    return ((m - 1).bit_length() + 7) // 8
 
-    All coordinates are over the order's basis.  x -> x^p is F_p-linear on
-    O/pO; row i of its matrix M is basis_i^p mod p, read off the table, and
-    the radical I/pO is the left kernel of M^k (p^k >= n) in reduced row
-    echelon form.  The multiplier ring is (1/p) U with U = {y : y I <= p I}.
-    U lies in I (y * p * 1 is in p I), so U/pO is searched inside the
-    radical: y = sum c_j rad_j, with conditions y * rad_j' in p I.  The
-    products rad_j * rad_j' are formed mod p^2 and read off in the basis
-    {rad_j} + {p e_l : l not a pivot} of I, whose coordinates mod p decide
-    membership in p I.
+
+@lru_cache(maxsize=1024)
+def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
+    """The kernel vectors y of one multiplier-ring step, over F_p in the
+    coordinates of the order's basis, or () when the order is p-maximal.
+
+    key is the upper triangle (i <= j, row by row) of the multiplication
+    table T mod p^2, each coordinate little-endian in as many bytes as p^2 - 1
+    needs (see _radical_round).  Everything the step decides is a function of
+    (p, n, T mod p^2), so a period scan, whose p-maximal orders recur with
+    the parameter, decides each recurring table once.
+
+    x -> x^p is F_p-linear on O/pO; row i of its matrix M is basis_i^p mod p,
+    read off the table, and the radical I/pO is the left kernel of M^k
+    (p^k >= n) in reduced row echelon form.  The multiplier ring is (1/p) U
+    with U = {y : y I <= p I}.  U lies in I (y * p * 1 is in p I), so U/pO is
+    searched inside the radical: y = sum c_j rad_j, with conditions
+    y * rad_j' in p I.  The products rad_j * rad_j' are formed mod p^2 and
+    read off in the basis {rad_j} + {p e_l : l not a pivot} of I, whose
+    coordinates mod p decide membership in p I.
     """
-    n = field.n
     pp = p * p
-    tab = [[[x % pp for x in c] for c in row] for row in table]
+    width = _residue_width(pp)
+    values = [int.from_bytes(key[k : k + width], "little") for k in range(0, len(key), width)]
+    cells = (values[k : k + n] for k in range(0, len(values), n))
+    tab = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            tab[i][j] = tab[j][i] = next(cells)
     frob = []
     for i in range(n):
         v = [x % p for x in tab[i][i]]
@@ -186,7 +206,7 @@ def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | N
         q *= p
     rad = left_kernel_mod_p(power, p)
     if not rad:
-        return None
+        return ()
     r = len(rad)
     pivots = [row.index(1) for row in rad]
     free = [l for l in range(n) if l not in pivots]
@@ -207,14 +227,28 @@ def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | N
             conditions[j] += coords
             if k != j:
                 conditions[k] += coords
-    kernel = left_kernel_mod_p(conditions, p)
+    return tuple(tuple(_combine(c, rad, p)) for c in left_kernel_mod_p(conditions, p))
+
+
+def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | None:
+    """One multiplier-ring step on the multiplication table of the order;
+    None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
+
+    The step over F_p is _radical_kernel, memoized on T mod p^2: the round
+    packs the table into its key and lifts the kernel vectors y it returns
+    to the numerators y . basis, which with p * basis generate the enlarged
+    order over p * den.
+    """
+    n = field.n
+    pp = p * p
+    width = _residue_width(pp)
+    residues = [x % pp for i in range(n) for j in range(i, n) for x in table[i][j]]
+    key = b"".join(map(int.to_bytes, residues, repeat(width), repeat("little")))
+    kernel = _radical_kernel(p, n, key)
     if not kernel:
         return None
     basis = order.basis
-    rows = []
-    for c in kernel:
-        y = _combine(c, rad, p)
-        rows.append([sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)])
+    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
     rows += [[p * x for x in row] for row in basis]
     enlarged = make_order(field, p * order.den, rows)
     if enlarged.fingerprint == order.fingerprint:
@@ -318,12 +352,14 @@ def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Or
     return _saturate(field, p, strategy)
 
 
-def candidate_primes(n: int) -> list[int]:
-    """{3} union the primes dividing n: the only primes that can divide the index
-    under the squarefree gate."""
-    return sorted({3} | set(factorize(n)))
+@lru_cache(maxsize=64)
+def candidate_primes(n: int) -> tuple[int, ...]:
+    """{3} union the primes dividing n, ascending: the only primes that can
+    divide the index under the squarefree gate."""
+    return tuple(sorted({3} | set(factorize(n))))
 
 
+@lru_cache(maxsize=256)  # integral-basis --strategy both gates each field twice
 def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     """Check the squarefree hypothesis on the parameter quadratic (on its
     3-free part under the relaxed gate) plus the existence of an Eisenstein

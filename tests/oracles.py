@@ -7,7 +7,9 @@ plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
 the classical quadratic-field classification, the radical round works on
 polynomial products over the power basis instead of the order's
 multiplication table, the shifted minimal polynomial is a Taylor shift by
-the rational parameter, and the parameter gate factorizes once per test.
+the rational parameter, the parameter gate factorizes once per test, and
+factorization trial-divides by every prime up to the fixed bound whatever
+the input.
 """
 
 from fractions import Fraction
@@ -16,7 +18,15 @@ from itertools import product
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.linalg import left_kernel_mod_p
-from simplestfields.numutil import factorize, squarefree, three_free_part
+from simplestfields.numutil import (
+    TRIAL_DIVISION_BOUND,
+    _brent_rho,
+    _sieve,
+    factorize,
+    is_prime,
+    squarefree,
+    three_free_part,
+)
 from simplestfields.orders import make_order
 from simplestfields.poly import Poly
 
@@ -69,6 +79,28 @@ def naive_squarefree(n: int) -> bool:
         else:
             d += 1
     return True
+
+
+def full_sieve_factorize(n: int) -> dict[int, int]:
+    """Prime factorization of |n| by trial division over the whole sieve up to
+    TRIAL_DIVISION_BOUND, then the is_prime / Brent-rho tail on what is left."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in _sieve(TRIAL_DIVISION_BOUND):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _brent_rho(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def companion_matrix(f: list[int]) -> list[list[Fraction]]:

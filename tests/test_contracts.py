@@ -1,9 +1,11 @@
 """Source-level contracts of the library: checks that survive `python -O`,
-and the names the benchmark tracer wraps."""
+the names the benchmark tracer wraps, and caches that never change a result."""
 
 import ast
 import importlib
 from pathlib import Path
+
+from simplestfields.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "simplestfields"
@@ -38,3 +40,35 @@ def test_every_traced_function_resolves():
         module = importlib.import_module(f"simplestfields.{layer}")
         missing += [f"{layer}.{name}" for name in names if not callable(getattr(module, name, None))]
     assert not missing, f"traced names that do not resolve: {missing}"
+
+
+def _library_caches() -> dict:
+    """Every functools cache defined in a library module, by qualified name."""
+    caches = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"simplestfields.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                caches[f"{path.stem}.{name}"] = value
+    return caches
+
+
+def test_caches_leave_no_trace_in_a_result(capsys):
+    """A period scan in a process whose caches are all empty and the same scan
+    right after it, with every cache warm, print the same document apart from
+    timing_ms: no memo may change a result."""
+    caches = _library_caches()
+    assert {"numberfield.number_field", "orders._radical_kernel", "numutil._sieve"} <= set(caches)
+    argv = ["period-scan", "--n", "6", "--modulus", "36", "--t-min", "-60", "--t-max", "60"]
+    docs = []
+    for clear in (True, False):
+        if clear:
+            for cache in caches.values():
+                cache.cache_clear()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        docs.append("\n".join(line for line in lines if not line.startswith('  "timing_ms":')))
+    assert caches["orders._radical_kernel"].cache_info().hits > 0
+    assert docs[0] == docs[1]

@@ -22,6 +22,7 @@ from simplestfields.orders import (
     STRATEGIES,
     _enumerate_round,
     _mult_table,
+    _radical_kernel,
     _radical_round,
     _saturate,
     _start_order,
@@ -210,11 +211,11 @@ def test_field_elt_normalization():
 
 
 def test_candidate_primes():
-    assert candidate_primes(2) == [2, 3]
-    assert candidate_primes(3) == [3]
-    assert candidate_primes(6) == [2, 3]
-    assert candidate_primes(10) == [2, 3, 5]
-    assert candidate_primes(12) == [2, 3]
+    assert candidate_primes(2) == (2, 3)
+    assert candidate_primes(3) == (3,)
+    assert candidate_primes(6) == (2, 3)
+    assert candidate_primes(10) == (2, 3, 5)
+    assert candidate_primes(12) == (2, 3)
 
 
 def test_denominator_bound_examples():
@@ -393,11 +394,15 @@ def _radical_chain(field, p):
     return chain
 
 
-def _walk_against_oracle(field, p, order, table):
+def _walk_against_oracle(field, p, order, table, cold):
     """Radical rounds from order (with its table) to the p-maximal order,
-    each checked against the power-basis round; returns the rounds taken."""
+    each checked against the power-basis round, with the memo of
+    _radical_kernel emptied before every round when cold; returns the rounds
+    taken."""
     rounds = 0
     while True:
+        if cold:
+            _radical_kernel.cache_clear()
         nxt = _radical_round(field, order, p, table)
         assert nxt == power_basis_radical_round(field, order, p), (field.n, field.t, p, rounds)
         if nxt is None:
@@ -405,7 +410,7 @@ def _walk_against_oracle(field, p, order, table):
         order, table, rounds = nxt, _mult_table(field, nxt), rounds + 1
 
 
-def test_radical_round_matches_power_basis_oracle():
+def _check_rounds_against_oracle(cold):
     """Every round of the table-based radical chain returns the same Order,
     or None, as the round over the power basis: n = 2..12 and every
     candidate prime, so p = 5, 7 and 11 take the odd-p Frobenius path.  For
@@ -422,19 +427,28 @@ def test_radical_round_matches_power_basis_oracle():
             for t in ts[:8]:
                 field = number_field(n, t)
                 start = power_order(field)
-                if _walk_against_oracle(field, p, start, _mult_table(field, start)) < 2:
+                if _walk_against_oracle(field, p, start, _mult_table(field, start), cold) < 2:
                     continue
                 long_chains.add((n, p))
                 other = next(u for k in range(1, 99) for u in (t - k * part, t + k * part) if parameter_gate(n, u)[0])
                 accepted = _start_order(field, p_maximal_order(number_field(n, other), p).fingerprint)
                 if accepted is not None:
                     accepted_starts += 1
-                    _walk_against_oracle(field, p, *accepted)
+                    _walk_against_oracle(field, p, *accepted, cold)
                 long += 1
                 if long == 3:
                     break
     assert {(n, 3) for n in range(4, 13)} | {(4, 2), (8, 2), (12, 2)} <= long_chains
     assert accepted_starts >= 20
+
+
+def test_radical_round_matches_power_basis_oracle():
+    _check_rounds_against_oracle(cold=False)
+
+
+def test_radical_round_matches_power_basis_oracle_with_cold_memo():
+    """The same walk with every kernel computed from its table, none recalled."""
+    _check_rounds_against_oracle(cold=True)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -11,7 +11,7 @@ from simplestfields.numutil import (
     three_free_part,
 )
 
-from oracles import naive_squarefree
+from oracles import full_sieve_factorize, naive_squarefree
 
 
 def test_valuation_examples():
@@ -82,6 +82,29 @@ def test_factorize():
     # past the sieve: exercises the rho fallback
     big = 1_000_003 * 1_000_033
     assert factorize(big) == {1_000_003: 1, 1_000_033: 1}
+
+
+def _prime_near(x: int, step: int) -> int:
+    while not is_prime(x):
+        x += step
+    return x
+
+
+def test_factorize_matches_full_sieve_route():
+    """The sieve sized to the input gives the factorization of the full
+    sieve: prime squares and two-prime products with sqrt(n) on either side
+    of each power-of-two sieve size, primes just past the bound, and inputs
+    above 10^12 that only Brent-rho splits."""
+    inputs = []
+    for k in range(2, 21):
+        below, above = _prime_near(2**k - 1, -1), _prime_near(2**k + 1, 1)
+        inputs += [below * below, above * above, below * above, 2 * below * below, 3 * above]
+    p, q, s = _prime_near(1_000_001, 1), _prime_near(1_000_100, 1), _prime_near(1_001_000, 1)
+    r = _prime_near(999_999, -1)
+    inputs += [p * q, p * p, 6 * p * q, r * p, r * r * p, p * q * s, 2**61 - 1]
+    assert max(inputs) > 10**18
+    for n in inputs:
+        assert factorize(n) == full_sieve_factorize(n), n
 
 
 def test_is_prime():

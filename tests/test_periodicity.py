@@ -234,6 +234,28 @@ def test_period_scan_reuses_orders(monkeypatch):
     assert scan_rounds < rounds[0]
 
 
+def test_period_scan_reuses_radical_kernels(monkeypatch):
+    """Every radical round goes through the memo of _radical_kernel, the scan
+    recalls kernels for recurring tables, and its fingerprints equal those
+    computed with the memo emptied before each field."""
+    rounds = [0]
+    real = orders._radical_round
+
+    def counted(*args):
+        rounds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orders, "_radical_round", counted)
+    orders._radical_kernel.cache_clear()
+    rep = period_scan(8, 432, range(-60, 61))
+    info = orders._radical_kernel.cache_info()
+    assert info.hits > 0 and info.misses < rounds[0] == info.hits + info.misses
+    for ms in rep.classes.values():
+        for t, fp in ms:
+            orders._radical_kernel.cache_clear()
+            assert fp == canonical_basis(number_field(8, t)), t
+
+
 def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
     """At modulus 1 every class would share one start per prime, which mostly
     fails the checks, so the scan saturates from Z[beta] without trying it."""
