@@ -91,45 +91,39 @@ def left_kernel_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
     return kernel
 
 
-def rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular rational matrix.
+def adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of a nonsingular square integer matrix: adj @ m == det * I.
 
-    Rows are scaled to integers, then a fraction-free Bareiss-Jordan
-    (Montante) elimination runs on the augmented matrix: every intermediate
-    entry stays integral and the single division by the determinant happens
-    at the end.  Raises ValueError on singular input.
+    One fraction-free Bareiss-Jordan (Montante) elimination of [m | I]
+    (Bareiss, Math. Comp. 22, 1968), every division exact.  It leaves
+    s * det * I on the left and s * adj on the right, s the sign of the row
+    swaps.  Raises ValueError on singular or non-square input.
     """
     n, cols = mat_shape(m)
     if n != cols:
-        raise ValueError("inverse of non-square matrix")
-    scale = []
-    aug = []
-    for i, row in enumerate(m):
-        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        scale.append(den)
-        aug.append([int(Fraction(x) * den) for x in row] + [1 if j == i else 0 for j in range(n)])
-    width = 2 * n
-    prev = 1
+        raise ValueError("adjugate of non-square matrix")
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(m)]
+    sign = prev = 1
     for k in range(n):
         if aug[k][k] == 0:
-            for i in range(k + 1, n):
-                if aug[i][k]:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if aug[i][k]), None)
+            if i is None:
                 raise ValueError("singular matrix")
-        piv = aug[k][k]
+            aug[k], aug[i] = aug[i], aug[k]
+            sign = -sign
+        pivot_row, piv = aug[k], aug[k][k]
         for i in range(n):
-            if i == k:
-                continue
-            f = aug[i][k]
-            for j in range(width):
-                q, r = divmod(aug[i][j] * piv - f * aug[k][j], prev)
-                if r:
-                    raise ArithmeticError("non-exact division in fraction-free elimination")
-                aug[i][j] = q
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(x * piv - f * y) // prev for x, y in zip(aug[i], pivot_row)]
         prev = piv
-    # after the elimination the left block is (final pivot) * I
-    inv_scaled = [[Fraction(aug[i][n + j], aug[i][i]) for j in range(n)] for i in range(n)]
-    # original = diag(1/scale) @ scaled, so inverse = inv(scaled) @ diag(scale)
-    return [[inv_scaled[i][j] * scale[j] for j in range(n)] for i in range(n)]
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+
+
+def rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular rational matrix, from the adjugate of
+    its rows scaled to integers.  Raises ValueError on singular input."""
+    scale = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
+    det, adj = adjugate([[int(Fraction(x) * s) for x in row] for row, s in zip(m, scale)])
+    # m = diag(1/scale) @ scaled, so inverse = adj(scaled) @ diag(scale) / det
+    return [[Fraction(a * s, det) for a, s in zip(row, scale)] for row in adj]

@@ -49,7 +49,7 @@ def number_field(n: int, t: int) -> NumberField:
     disc = discriminant_formula_t(n, t)
     if discriminant(f) != disc:
         raise AssertionError(f"discriminant mismatch at n={n}, t={t}")
-    witness = witness_prime(factorize(disc_quadratic(n, t)))
+    witness = witness_prime(quadratic_factorization(n, t))
     if witness is not None and not is_eisenstein(_shifted(n, t, f), witness):
         raise AssertionError(f"witness {witness} fails the Eisenstein check at n={n}, t={t}")
     return NumberField(n, t, f, disc, witness)
@@ -149,9 +149,17 @@ def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
     return trace_powers(field.poly.coeffs, k_max)
 
 
-def witness_prime(fac: dict[int, int]) -> int | None:
+@lru_cache(maxsize=4096)
+def quadratic_factorization(n: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of the parameter quadratic Q(t), ascending.
+    The parameter gate and number_field both read it, so each Q(t) is
+    factored once."""
+    return tuple(factorize(disc_quadratic(n, t)).items())
+
+
+def witness_prime(fac: tuple[tuple[int, int], ...]) -> int | None:
     """The least prime p != 3 of exponent 1 in a factorization, or None."""
-    return next((p for p, e in fac.items() if p != 3 and e == 1), None)
+    return next((p for p, e in fac if p != 3 and e == 1), None)
 
 
 def eisenstein_witness(n: int, t: int) -> int | None:

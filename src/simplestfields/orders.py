@@ -55,6 +55,7 @@ from .numberfield import (
     field_elt,
     field_trace_powers,
     is_algebraic_integer,
+    quadratic_factorization,
     witness_prime,
 )
 from .numutil import factorize, largest_square_root_divisor, p_adic_valuation, three_free_part
@@ -233,6 +234,8 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
 def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | None:
     """One multiplier-ring step on the multiplication table of the order;
     None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
+    The order is p-maximal iff the multiplier kernel is empty (Cohen, 6.1): a
+    kernel vector y != 0 mod p puts y / p outside the order, which must grow.
 
     The step over F_p is _radical_kernel, memoized on T mod p^2: the round
     packs the table into its key and lifts the kernel vectors y it returns
@@ -252,7 +255,7 @@ def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | N
     rows += [[p * x for x in row] for row in basis]
     enlarged = make_order(field, p * order.den, rows)
     if enlarged.fingerprint == order.fingerprint:
-        return None
+        raise AssertionError(f"a nonempty multiplier kernel did not enlarge the order (p={p})")
     return enlarged
 
 
@@ -363,12 +366,13 @@ def candidate_primes(n: int) -> tuple[int, ...]:
 def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     """Check the squarefree hypothesis on the parameter quadratic (on its
     3-free part under the relaxed gate) plus the existence of an Eisenstein
-    witness prime, both from one factorization.  Returns (ok, reason)."""
+    witness prime, both from the memoized factorization of Q(t) that
+    number_field reads again.  Returns (ok, reason)."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     q = disc_quadratic(n, t)
-    fac = factorize(q)
-    square = next((p for p, e in fac.items() if e > 1 and (gate == "strict" or p != 3)), None)
+    fac = quadratic_factorization(n, t)
+    square = next((p for p, e in fac if e > 1 and (gate == "strict" or p != 3)), None)
     if square is not None:
         tested = q if gate == "strict" else three_free_part(q)
         return False, f"not squarefree: {square}^2 divides {tested}"

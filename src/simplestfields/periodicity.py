@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .family import disc_quadratic
-from .linalg import bareiss_det, rat_matrix_inverse
+from .linalg import adjugate
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
 from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate
@@ -68,8 +68,16 @@ class DualBasis:
     law_ok: bool | None  # denominator law verdict for 2 <= n <= 12, else None
 
 
+def _trace_matrix(field: NumberField) -> list[list[int]]:
+    """T[i][j] = Tr(beta^(i+j)), the trace form on the power basis."""
+    n = field.n
+    p = field_trace_powers(field, 2 * n - 2)
+    return [[p[i + j] for j in range(n)] for i in range(n)]
+
+
 def dual_basis(field: NumberField) -> DualBasis:
-    """Invert the trace matrix T[i][j] = Tr(beta^(i+j)) exactly.
+    """Invert the trace matrix T[i][j] = Tr(beta^(i+j)) exactly as adj(T) / det(T),
+    with denominator |det| / gcd(det, all adjugate entries).
 
     The reported law_ok states that the table denominator 3^e * n * Q(t)
     clears every entry (the per-parameter lcm d always divides it; at n = 3
@@ -78,48 +86,22 @@ def dual_basis(field: NumberField) -> DualBasis:
     without being divisible in Z[t]).
     """
     n = field.n
-    p = field_trace_powers(field, 2 * n - 2)
-    t_mat = [[Fraction(p[i + j]) for j in range(n)] for i in range(n)]
-    c_mat = rat_matrix_inverse(t_mat)
-    d = 1
-    for row in c_mat:
-        for x in row:
-            d = lcm(d, x.denominator)
+    det, adj = adjugate(_trace_matrix(field))
+    d = abs(det) // gcd(det, *(x for row in adj for x in row))
     law = None
     if 2 <= n <= 12:
         law = (3 ** DUAL_DENOMINATOR_EXPONENT[n] * n * disc_quadratic(n, field.t)) % d == 0
-    return DualBasis(field, tuple(tuple(row) for row in c_mat), d, law)
-
-
-def _symbolic_trace_matrix_at(n: int, t0: int) -> list[list[int]]:
-    p = field_trace_powers(number_field(n, t0), 2 * n - 2)
-    return [[p[i + j] for j in range(n)] for i in range(n)]
-
-
-def _adjugate_at(n: int, t0: int):
-    t_mat = _symbolic_trace_matrix_at(n, t0)
-    det0 = bareiss_det(t_mat)
-    inv = rat_matrix_inverse([[Fraction(x) for x in row] for row in t_mat])
-    adj0 = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = inv[i][j] * det0
-            if v.denominator != 1:
-                raise AssertionError("non-integral adjugate entry")
-            row.append(v.numerator)
-        adj0.append(row)
-    return det0, adj0
+    return DualBasis(field, tuple(tuple(Fraction(a, det) for a in row) for row in adj), d, law)
 
 
 @lru_cache(maxsize=None)
 def _inverse_vandermonde(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(M, D) with M / D the inverse of V[i][j] = i^j for 0 <= i, j < k, M
-    integral and D the common denominator.  One entry per interpolation
+    integral and D > 0 the common denominator.  One entry per interpolation
     length, and the lengths in use are bounded by twice the field degree."""
-    inv = rat_matrix_inverse([[Fraction(i**j) for j in range(k)] for i in range(k)])
-    d = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in inv), d
+    det, adj = adjugate([[i**j for j in range(k)] for i in range(k)])
+    d = abs(det) // gcd(det, *(x for row in adj for x in row))
+    return tuple(tuple(x * d // det for x in row) for row in adj), d
 
 
 def _interpolate_int(ys: list[int]) -> list[int]:
@@ -143,24 +125,19 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     written with integer-polynomial numerators their least common denominator
     has the shape (integer front) * Q(t)^power.  Returns (front, power); the
     table law asserts front = 3^e * n and power = 1.  Computed exactly by
-    interpolating the adjugate of the symbolic trace matrix; the adjugate
-    entries have degree 2n-2, which three extra verification points confirm.
+    interpolating the signed determinant and the adjugate of the integer
+    trace matrix at t = 0, ..., 2n-2; they have degree at most 2n-2, which
+    three extra verification points confirm.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
     deg_bound = 2 * n - 2
-    adj_values = [[[] for _ in range(n)] for _ in range(n)]
-    det_values = []
-    for t0 in range(deg_bound + 1):
-        det0, adj0 = _adjugate_at(n, t0)
-        det_values.append(det0)
-        for i in range(n):
-            for j in range(n):
-                adj_values[i][j].append(adj0[i][j])
-    det_poly = Poly(_interpolate_int(det_values))
-    entry_polys = [[Poly(_interpolate_int(adj_values[i][j])) for j in range(n)] for i in range(n)]
+    points = [adjugate(_trace_matrix(number_field(n, t0))) for t0 in range(deg_bound + 4)]
+    fit = points[: deg_bound + 1]
+    det_poly = Poly(_interpolate_int([det0 for det0, _ in fit]))
+    entry_polys = [[Poly(_interpolate_int([adj0[i][j] for _, adj0 in fit])) for j in range(n)] for i in range(n)]
     for extra in range(deg_bound + 1, deg_bound + 4):
-        det0, adj0 = _adjugate_at(n, extra)
+        det0, adj0 = points[extra]
         if det_poly(extra) != det0:
             raise AssertionError("determinant degree bound violated")
         for i in range(n):

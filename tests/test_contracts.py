@@ -60,7 +60,12 @@ def test_caches_leave_no_trace_in_a_result(capsys):
     right after it, with every cache warm, print the same document apart from
     timing_ms: no memo may change a result."""
     caches = _library_caches()
-    assert {"numberfield.number_field", "orders._radical_kernel", "numutil._sieve"} <= set(caches)
+    assert {
+        "numberfield.number_field",
+        "numberfield.quadratic_factorization",
+        "orders._radical_kernel",
+        "numutil._sieve",
+    } <= set(caches)
     argv = ["period-scan", "--n", "6", "--modulus", "36", "--t-min", "-60", "--t-max", "60"]
     docs = []
     for clear in (True, False):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,7 +6,7 @@ from itertools import product
 import pytest
 
 from simplestfields._kernels import hnf_rows
-from simplestfields.linalg import bareiss_det, hnf, left_kernel_mod_p, rat_matrix_inverse
+from simplestfields.linalg import adjugate, bareiss_det, hnf, left_kernel_mod_p, rat_matrix_inverse
 
 from oracles import gauss_jordan_inverse, identity, mat_mul
 
@@ -60,6 +61,23 @@ def test_hnf_lattice_redundant_rows():
     assert h == [[2, 0], [1, 1]]
 
 
+def _leibniz_det(m) -> int:
+    """Determinant by expansion over all permutations (small n only)."""
+    n = len(m)
+    ref = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = 1
+        for i in range(n):
+            prod *= m[i][perm[i]]
+        ref += sign * prod
+    return ref
+
+
 def test_bareiss_det():
     assert bareiss_det([[2, 0], [0, 3]]) == 6
     assert bareiss_det([[1, 2], [3, 4]]) == -2
@@ -68,22 +86,44 @@ def test_bareiss_det():
     for _ in range(100):
         n = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        # expansion oracle via permutations for small n
-        import itertools
+        assert bareiss_det(m) == _leibniz_det(m)
 
-        ref = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = list(perm)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            prod = 1
-            for i in range(n):
-                prod *= m[i][perm[i]]
-            ref += sign * prod
-        assert bareiss_det(m) == ref
+
+def test_adjugate_examples():
+    assert adjugate([]) == (1, [])
+    assert adjugate([[5]]) == (5, [[1]])
+    assert adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]])
+    # zero leading pivot: one row swap, and det keeps its true sign
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    for bad in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            adjugate(bad)
+
+
+def test_adjugate_matches_determinant_oracles():
+    """adj @ m == det * I, with det equal to bareiss_det and to the
+    permutation expansion; a third of the matrices start with a zero pivot
+    so that rows must swap."""
+    rng = random.Random(17)
+    done = swapped = 0
+    while done < 200:
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n > 1 and done % 3 == 0:
+            m[0][0] = 0
+            swapped += 1
+        det = bareiss_det(m)
+        if det == 0:
+            with pytest.raises(ValueError):
+                adjugate(m)
+            continue
+        d, adj = adjugate(m)
+        assert d == det
+        if n <= 5:
+            assert d == _leibniz_det(m)
+        assert mat_mul(adj, m) == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        done += 1
+    assert swapped > 50
 
 
 def test_left_kernel_mod_p():

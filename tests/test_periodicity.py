@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,12 +11,15 @@ from simplestfields.periodicity import (
     DUAL_DENOMINATOR_EXPONENT,
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
+    _inverse_vandermonde,
     canonical_basis,
     check_dual_denominator_table,
     dual_basis,
     minimality_witness,
     period_scan,
 )
+
+from oracles import gauss_jordan_inverse
 
 
 def test_trace_powers_surface():
@@ -49,6 +53,34 @@ def test_quartic_dual_basis_closed_form():
         db = dual_basis(number_field(4, t))
         assert db.matrix == _quartic_dual_rows(t)
         assert db.denominator == 12 * (t * t + t + 1)
+
+
+def _fraction_inverse_and_lcm(m):
+    inv = gauss_jordan_inverse([[Fraction(x) for x in row] for row in m])
+    return inv, lcm(*(x.denominator for row in inv for x in row))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dual_basis_matches_fraction_inverse(n):
+    """The adjugate route gives the matrix and denominator of a Fraction
+    Gauss-Jordan inverse of the trace matrix and the lcm of its entries."""
+    ts = [t for t in range(-12, 13) if parameter_gate(n, t)[0]][:3]
+    assert ts
+    for t in ts:
+        field = number_field(n, t)
+        p = field_trace_powers(field, 2 * n - 2)
+        inv, d = _fraction_inverse_and_lcm([[p[i + j] for j in range(n)] for i in range(n)])
+        db = dual_basis(field)
+        assert db.matrix == tuple(tuple(row) for row in inv)
+        assert db.denominator == d
+
+
+def test_inverse_vandermonde_matches_fraction_inverse():
+    for k in range(1, 27):
+        inv, d = _fraction_inverse_and_lcm([[i**j for j in range(k)] for i in range(k)])
+        m, dd = _inverse_vandermonde(k)
+        assert dd == d > 0
+        assert m == tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in inv)
 
 
 def test_dual_basis_trace_duality():
