@@ -28,18 +28,17 @@ from .family import (
     family_poly_at,
     specialize,
 )
-from .linalg import hnf, rat_matrix_inverse
+from .linalg import rat_matrix_inverse
 from .numberfield import (
     FieldElt,
     NumberField,
     ParameterNotCoveredError,
     char_poly,
-    eisenstein_witness,
     field_elt,
     is_algebraic_integer,
     number_field,
 )
-from .numutil import largest_square_root_divisor, p_adic_valuation, squarefree, three_free_part
+from .numutil import largest_square_root_divisor, p_adic_valuation, three_free_part
 from .orders import (
     Order,
     denominator_bound,
@@ -52,7 +51,6 @@ from .periodicity import (
     DUAL_DENOMINATOR_EXPONENT,
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
-    canonical_basis,
     dual_basis,
     minimality_witness,
     period_scan,
@@ -81,19 +79,16 @@ __all__ = [
     "family_poly",
     "family_poly_at",
     "specialize",
-    "hnf",
     "rat_matrix_inverse",
     "FieldElt",
     "NumberField",
     "ParameterNotCoveredError",
     "char_poly",
-    "eisenstein_witness",
     "field_elt",
     "is_algebraic_integer",
     "number_field",
     "largest_square_root_divisor",
     "p_adic_valuation",
-    "squarefree",
     "three_free_part",
     "Order",
     "denominator_bound",
@@ -104,7 +99,6 @@ __all__ = [
     "DUAL_DENOMINATOR_EXPONENT",
     "FINAL_PERIOD_TABLE",
     "PERIOD_BOUND_TABLE",
-    "canonical_basis",
     "dual_basis",
     "minimality_witness",
     "period_scan",

@@ -1,17 +1,15 @@
 """Exact integer and rational matrix utilities.
 
 Matrices are plain lists of row lists.  The Hermite normal form used
-throughout is row-style and lower-triangular: output row i has its pivot
-(positive) at column i for full-rank square lattices, entries below a pivot
-are reduced into [0, pivot).  With this normalization the first row of an
+throughout (_kernels.hnf_rows) is row-style and lower-triangular: output
+row i has its pivot (positive) at column i for full-rank square lattices,
+entries below a pivot are reduced into [0, pivot).  With this normalization the first row of an
 order lattice is always den * (1, 0, ..., 0), and row i corresponds to a
 basis polynomial of degree exactly i.
 """
 
 from fractions import Fraction
 from math import lcm
-
-from ._kernels import hnf_rows
 
 
 def mat_shape(m) -> tuple[int, int]:
@@ -20,15 +18,6 @@ def mat_shape(m) -> tuple[int, int]:
     if any(len(r) != cols for r in m):
         raise ValueError("ragged matrix")
     return rows, cols
-
-
-def hnf(m: list[list[int]]) -> list[list[int]]:
-    """Hermite normal form of a full-row-rank integer matrix (row lattice basis)."""
-    rows, cols = mat_shape(m)
-    out = hnf_rows(m, cols)
-    if len(out) != rows:
-        raise ValueError("matrix is not of full row rank")
-    return out
 
 
 def bareiss_det(m: list[list[int]]) -> int:

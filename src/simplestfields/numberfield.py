@@ -126,10 +126,10 @@ def is_algebraic_integer(e: FieldElt) -> bool:
 
 
 @lru_cache(maxsize=512)
-def trace_powers(f_coeffs: tuple[int, ...], k_max: int) -> tuple[int, ...]:
-    """Traces of beta^k for k = 0..k_max via Newton's identities (f monic, integer)."""
-    n = len(f_coeffs) - 1
-    c = f_coeffs  # c[i] = coefficient of X^i, c[n] = 1
+def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
+    """Traces of beta^k for k = 0..k_max via Newton's identities."""
+    n = field.n
+    c = field.poly.coeffs  # c[i] = coefficient of X^i, c[n] = 1
     p = [0] * (k_max + 1)
     p[0] = n
     for k in range(1, k_max + 1):
@@ -145,10 +145,6 @@ def trace_powers(f_coeffs: tuple[int, ...], k_max: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
-    return trace_powers(field.poly.coeffs, k_max)
-
-
 @lru_cache(maxsize=4096)
 def quadratic_factorization(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of the parameter quadratic Q(t), ascending.
@@ -160,22 +156,6 @@ def quadratic_factorization(n: int, t: int) -> tuple[tuple[int, int], ...]:
 def witness_prime(fac: tuple[tuple[int, int], ...]) -> int | None:
     """The least prime p != 3 of exponent 1 in a factorization, or None."""
     return next((p for p, e in fac if p != 3 and e == 1), None)
-
-
-def eisenstein_witness(n: int, t: int) -> int | None:
-    """A prime p != 3 with p-valuation exactly 1 in the parameter quadratic,
-    verified to make the shifted minimal polynomial Eisenstein; None when the
-    sufficient irreducibility condition fails."""
-    return number_field(n, t).witness
-
-
-def shifted_min_poly(n: int, t: int) -> Poly:
-    """Minimal polynomial of beta - t, or of 3*beta - t when 3 divides n.
-
-    Both are integer monic polynomials; this is the polynomial whose
-    Eisenstein property certifies irreducibility and index coprimality.
-    """
-    return _shifted(n, t, number_field(n, t).poly)
 
 
 def _shifted(n: int, t: int, f: Poly) -> Poly:

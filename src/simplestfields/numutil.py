@@ -113,6 +113,8 @@ def factorize(n: int) -> dict[int, int]:
 
 def p_adic_valuation(x: int | Fraction, p: int) -> int:
     """Exponent of the prime p in x; negative for rationals with p in the denominator."""
+    if p < 2:
+        raise ValueError(f"valuation base must be at least 2, not {p}")
     if x == 0:
         raise ValueError("valuation of zero undefined")
     if isinstance(x, Fraction):
@@ -123,16 +125,6 @@ def p_adic_valuation(x: int | Fraction, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def squarefree(n: int) -> bool:
-    """True when no prime square divides |n|."""
-    if n == 0:
-        raise ValueError("squarefree test of zero undefined")
-    n = abs(n)
-    if n % 4 == 0 or n % 9 == 0 or n % 25 == 0:
-        return False
-    return all(e == 1 for e in factorize(n).values())
 
 
 def three_free_part(n: int) -> int:

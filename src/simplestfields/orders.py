@@ -355,14 +355,12 @@ def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Or
     return _saturate(field, p, strategy)
 
 
-@lru_cache(maxsize=64)
 def candidate_primes(n: int) -> tuple[int, ...]:
     """{3} union the primes dividing n, ascending: the only primes that can
     divide the index under the squarefree gate."""
     return tuple(sorted({3} | set(factorize(n))))
 
 
-@lru_cache(maxsize=256)  # integral-basis --strategy both gates each field twice
 def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     """Check the squarefree hypothesis on the parameter quadratic (on its
     3-free part under the relaxed gate) plus the existence of an Eisenstein
@@ -381,15 +379,6 @@ def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     return True, "ok"
 
 
-def require_covered(field: NumberField, gate: str = "strict") -> None:
-    """Raise ParameterNotCoveredError when the squarefree gate fails or no
-    Eisenstein witness exists (the parameter is then outside the certified
-    domain, regardless of actual irreducibility)."""
-    ok, reason = parameter_gate(field.n, field.t, gate)
-    if not ok or field.witness is None:
-        raise ParameterNotCoveredError(f"parameter not covered by paper hypotheses: {reason}")
-
-
 def join_orders(field: NumberField, orders) -> Order:
     """The order generated by the p-maximal orders of the candidate primes:
     all bases over the lcm of their denominators, canonicalized."""
@@ -406,9 +395,13 @@ def join_orders(field: NumberField, orders) -> Order:
 def integral_basis(field: NumberField, strategy: str = "radical", gate: str = "strict") -> Order:
     """Maximal order of the field, certified under the stated hypotheses.
 
-    Raises ParameterNotCoveredError outside them (see require_covered).
+    Raises ParameterNotCoveredError when parameter_gate rejects the
+    parameter: it is then outside the certified domain, whatever its actual
+    irreducibility.
     """
-    require_covered(field, gate)
+    ok, reason = parameter_gate(field.n, field.t, gate)
+    if not ok:
+        raise ParameterNotCoveredError(f"parameter not covered by paper hypotheses: {reason}")
     return join_orders(field, [p_maximal_order(field, p, strategy) for p in candidate_primes(field.n)])
 
 

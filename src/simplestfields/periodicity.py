@@ -28,7 +28,7 @@ from .family import disc_quadratic
 from .linalg import adjugate
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
-from .orders import STRATEGIES, _saturate, candidate_primes, integral_basis, join_orders, parameter_gate
+from .orders import GATES, STRATEGIES, _saturate, candidate_primes, join_orders, parameter_gate
 from .poly import Poly
 
 # Exponent of 3 in the dual-basis denominator law d = 3^e * n * Q(t), n = 2..12.
@@ -124,57 +124,48 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     The entries of the dual matrix are rational functions of the parameter;
     written with integer-polynomial numerators their least common denominator
     has the shape (integer front) * Q(t)^power.  Returns (front, power); the
-    table law asserts front = 3^e * n and power = 1.  Computed exactly by
-    interpolating the signed determinant and the adjugate of the integer
-    trace matrix at t = 0, ..., 2n-2; they have degree at most 2n-2, which
-    three extra verification points confirm.
+    table law asserts front = 3^e * n and power = 1.
+
+    The determinant of the integer trace matrix is the polynomial
+    discriminant, which number_field certifies against the closed form
+    front * Q(t)^(n-1); it must equal the field's discriminant at every
+    point, and front is the one common quotient det / Q(t)^(n-1).  The
+    adjugate is interpolated at t = 0, ..., 2n-2; its entries have degree at
+    most 2n-2, which three extra verification points confirm.  Q is monic,
+    so by Gauss's lemma an entry has the content of its quotient by any
+    power of Q, and power is n-1-k for the largest k <= n-1 with Q^k
+    dividing every nonzero entry.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
     deg_bound = 2 * n - 2
-    points = [adjugate(_trace_matrix(number_field(n, t0))) for t0 in range(deg_bound + 4)]
-    fit = points[: deg_bound + 1]
-    det_poly = Poly(_interpolate_int([det0 for det0, _ in fit]))
-    entry_polys = [[Poly(_interpolate_int([adj0[i][j] for _, adj0 in fit])) for j in range(n)] for i in range(n)]
-    for extra in range(deg_bound + 1, deg_bound + 4):
-        det0, adj0 = points[extra]
-        if det_poly(extra) != det0:
-            raise AssertionError("determinant degree bound violated")
-        for i in range(n):
-            for j in range(n):
-                if entry_polys[i][j](extra) != adj0[i][j]:
-                    raise AssertionError("adjugate degree bound violated")
-    q_poly = Poly([9, 3, 1]) if n % 3 == 0 else Poly([1, 1, 1])
-    # det = front * Q^(n-1): peel the quadratic off to expose the integer front
-    front_poly = det_poly
-    for _ in range(n - 1):
-        quo, rem = divmod(front_poly, q_poly)
-        if not rem.is_zero:
+    points = []
+    fronts = set()
+    for t0 in range(deg_bound + 4):
+        field = number_field(n, t0)
+        det0, adj0 = adjugate(_trace_matrix(field))
+        if det0 != field.disc:
+            raise AssertionError(f"the trace-matrix determinant is not the discriminant at t={t0}")
+        front, rem = divmod(det0, disc_quadratic(n, t0) ** (n - 1))
+        if rem:
             raise AssertionError("the parameter quadratic does not divide the determinant n-1 times")
-        front_poly = quo
-    if front_poly.degree != 0:
+        fronts.add(front)
+        points.append([x for row in adj0 for x in row])
+    if len(fronts) != 1:
         raise AssertionError("the determinant is not a constant times a power of the parameter quadratic")
-    front = int(front_poly.lc)
+    (front,) = fronts
+    fit = points[: deg_bound + 1]
+    entries = [Poly(_interpolate_int([adj0[k] for adj0 in fit])) for k in range(n * n)]
+    for extra in range(deg_bound + 1, deg_bound + 4):
+        if [entry(extra) for entry in entries] != points[extra]:
+            raise AssertionError("adjugate degree bound violated")
+    entries = [entry for entry in entries if not entry.is_zero]
     d_int = 1
-    d_qpow = 0
-    for i in range(n):
-        for j in range(n):
-            entry = entry_polys[i][j]
-            if entry.is_zero:
-                continue
-            k = 0
-            while k < n - 1:
-                quo, rem = divmod(entry, q_poly)
-                if not rem.is_zero:
-                    break
-                entry = quo
-                k += 1
-            content = 0
-            for c in entry.coeffs:
-                content = gcd(content, int(c))
-            d_int = lcm(d_int, front // gcd(content, front))
-            d_qpow = max(d_qpow, n - 1 - k)
-    return d_int, d_qpow
+    for entry in entries:
+        d_int = lcm(d_int, front // gcd(front, *entry.coeffs))
+    q_poly = Poly([9, 3, 1]) if n % 3 == 0 else Poly([1, 1, 1])
+    k = next((k for k in range(n - 1, 0, -1) if all((entry % q_poly**k).is_zero for entry in entries)), 0)
+    return d_int, n - 1 - k
 
 
 @dataclass(frozen=True)
@@ -223,27 +214,28 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
     return TableCheck(not failures, tuple(entries), tuple(failures))
 
 
-def canonical_basis(field: NumberField, strategy: str = "radical", gate: str = "strict") -> Fingerprint:
-    """The (denominator, HNF matrix) fingerprint of the integral basis."""
-    o = integral_basis(field, strategy=strategy, gate=gate)
-    return o.fingerprint
+def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, str]]]:
+    """(fingerprints, skipped) of the parameters ts, each list in order of t.
 
-
-def _scan_slice(args) -> list[tuple[int, Fingerprint]]:
-    """Fingerprints of the parameters ts, in order.
-
-    Each prime p with p^v = p^v_p(modulus) > 1 saturates from the last
-    p-maximal order with den > 1 of the same class of t modulo p^v, kept in
-    a cache local to this call.  period_scan has already checked the
-    strategy and passed every t through the gate, so the scan builds each
-    field and calls _saturate directly.
+    Each t passes the gate right before its field is built, so number_field
+    reads the factorization of Q(t) that the gate has just memoized, in a
+    pool worker too: Q(t) is factored once per parameter, however long the
+    range.  A rejected t goes to skipped with the gate's reason.  Each prime
+    p with p^v = p^v_p(modulus) > 1 saturates from the last p-maximal order
+    with den > 1 of the same class of t modulo p^v, kept in a cache local to
+    this call.  period_scan has already checked the gate and strategy names.
     """
-    n, modulus, ts, strategy = args
+    n, modulus, ts, gate, strategy = args
     prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
     starts: dict[tuple[int, int], Fingerprint] = {}
     out = []
+    skipped = []
     for t in ts:
         try:
+            ok, reason = parameter_gate(n, t, gate)
+            if not ok:
+                skipped.append((t, reason))
+                continue
             field = number_field(n, t)
             orders = []
             for p, part in prime_parts.items():
@@ -256,7 +248,7 @@ def _scan_slice(args) -> list[tuple[int, Fingerprint]]:
         except Exception as exc:
             exc.args = (f"{exc} (n={n}, t={t})",)
             raise
-    return out
+    return out, skipped
 
 
 @dataclass(frozen=True)
@@ -287,17 +279,17 @@ def period_scan(
     fingerprints within each class.
 
     t_range is any nonempty iterable of integers; residues optionally restricts
-    the scan to chosen classes (used for reduced sweeps at large moduli).  The
-    gate is checked here, once per parameter; a rejected parameter is
-    reported in skipped with its reason and never reaches a slice.  With
-    workers > 1 each pool task scans the interleaved slice jobs[i::workers]
-    with its own start cache.  The report is deterministic and independent of
-    the worker count.  Raises ValueError for n < 2, modulus < 1, an empty
-    range, workers < 1, an unknown strategy or residues that leave no
-    parameter of the range, and ParameterNotCoveredError when the gate rejects
-    every remaining parameter, so a report always compares at least one field.
-    An error raised for one field keeps its type and gains "(n=..., t=...)"
-    in its message.
+    the scan to chosen classes (used for reduced sweeps at large moduli).  Each
+    slice gates its parameters one at a time, next to their fields (see
+    _scan_slice); a rejected parameter is reported in skipped with its
+    reason.  With workers > 1 each pool task scans the interleaved slice
+    jobs[i::workers] with its own start cache.  The report is deterministic
+    and independent of the worker count.  Raises ValueError for n < 2,
+    modulus < 1, an empty range, workers < 1, an unknown gate or strategy, or
+    residues that leave no parameter of the range, and
+    ParameterNotCoveredError when the gate rejects every remaining parameter,
+    so a report always compares at least one field.  An error raised for one
+    field keeps its type and gains "(n=..., t=...)" in its message.
     """
     ts = sorted(set(t_range))
     if n < 2:
@@ -310,31 +302,25 @@ def period_scan(
         raise ValueError("workers must be positive")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
     wanted = None if residues is None else {r % modulus for r in residues}
-    skipped = []
-    jobs = []
-    for t in ts:
-        if wanted is not None and t % modulus not in wanted:
-            continue
-        ok, reason = parameter_gate(n, t, gate)
-        if ok:
-            jobs.append(t)
-        else:
-            skipped.append((t, reason))
-    if not jobs and not skipped:
-        raise ValueError("no parameter of the range lies in the chosen residue classes")
+    jobs = [t for t in ts if wanted is None or t % modulus in wanted]
     if not jobs:
-        t, reason = skipped[0]
-        raise ParameterNotCoveredError(
-            f"the gate rejects all {len(skipped)} parameters of the range (first, t={t}: {reason})"
-        )
-    slices = [(n, modulus, jobs[i::workers], strategy) for i in range(min(workers, len(jobs)))]
+        raise ValueError("no parameter of the range lies in the chosen residue classes")
+    slices = [(n, modulus, jobs[i::workers], gate, strategy) for i in range(min(workers, len(jobs)))]
     if len(slices) > 1:
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             parts = list(pool.map(_scan_slice, slices))
     else:
         parts = [_scan_slice(s) for s in slices]
-    results = sorted((item for part in parts for item in part), key=lambda item: item[0])
+    results = sorted((item for fps, _ in parts for item in fps), key=lambda item: item[0])
+    skipped = sorted((item for _, rejected in parts for item in rejected), key=lambda item: item[0])
+    if not results:
+        t, reason = skipped[0]
+        raise ParameterNotCoveredError(
+            f"the gate rejects all {len(skipped)} parameters of the range (first, t={t}: {reason})"
+        )
     classes: dict[int, list] = {}
     for t, fp in results:
         classes.setdefault(t % modulus, []).append((t, fp))

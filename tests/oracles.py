@@ -7,27 +7,30 @@ plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
 the classical quadratic-field classification, the radical round works on
 polynomial products over the power basis instead of the order's
 multiplication table, the shifted minimal polynomial is a Taylor shift by
-the rational parameter, the parameter gate factorizes once per test, and
+the rational parameter, the parameter gate factorizes once per test,
 factorization trial-divides by every prime up to the fixed bound whatever
-the input.
+the input, and the family dual denominator peels the parameter quadratic
+off an interpolated determinant and every adjugate entry.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
-from simplestfields.linalg import left_kernel_mod_p
+from simplestfields.linalg import adjugate, left_kernel_mod_p
+from simplestfields.numberfield import number_field
 from simplestfields.numutil import (
     TRIAL_DIVISION_BOUND,
     _brent_rho,
     _sieve,
     factorize,
     is_prime,
-    squarefree,
     three_free_part,
 )
 from simplestfields.orders import make_order
+from simplestfields.periodicity import _interpolate_int, _trace_matrix
 from simplestfields.poly import Poly
 
 
@@ -309,9 +312,70 @@ def two_factorization_parameter_gate(n: int, t: int, gate: str = "strict") -> tu
     factorization of the quadratic for the witness prime."""
     q = disc_quadratic(n, t)
     tested = q if gate == "strict" else three_free_part(q)
-    if abs(tested) > 1 and not squarefree(tested):
+    if abs(tested) > 1 and not naive_squarefree(tested):
         p = next(p for p, e in factorize(tested).items() if e > 1)
         return False, f"not squarefree: {p}^2 divides {tested}"
     if not any(p != 3 and e == 1 for p, e in factorize(q).items()):
         return False, f"no Eisenstein witness prime: {q} has no simple prime factor other than 3"
     return True, "ok"
+
+
+def peeled_dual_denominator(n: int) -> tuple[int, int]:
+    """symbolic_dual_denominator by interpolating the determinant as well and
+    peeling the parameter quadratic off it and off every adjugate entry by
+    repeated polynomial division.
+
+    The entries of the dual matrix are rational functions of the parameter;
+    written with integer-polynomial numerators their least common denominator
+    has the shape (integer front) * Q(t)^power.  Returns (front, power); the
+    table law asserts front = 3^e * n and power = 1.  Computed exactly by
+    interpolating the signed determinant and the adjugate of the integer
+    trace matrix at t = 0, ..., 2n-2; they have degree at most 2n-2, which
+    three extra verification points confirm.
+    """
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    deg_bound = 2 * n - 2
+    points = [adjugate(_trace_matrix(number_field(n, t0))) for t0 in range(deg_bound + 4)]
+    fit = points[: deg_bound + 1]
+    det_poly = Poly(_interpolate_int([det0 for det0, _ in fit]))
+    entry_polys = [[Poly(_interpolate_int([adj0[i][j] for _, adj0 in fit])) for j in range(n)] for i in range(n)]
+    for extra in range(deg_bound + 1, deg_bound + 4):
+        det0, adj0 = points[extra]
+        if det_poly(extra) != det0:
+            raise AssertionError("determinant degree bound violated")
+        for i in range(n):
+            for j in range(n):
+                if entry_polys[i][j](extra) != adj0[i][j]:
+                    raise AssertionError("adjugate degree bound violated")
+    q_poly = Poly([9, 3, 1]) if n % 3 == 0 else Poly([1, 1, 1])
+    # det = front * Q^(n-1): peel the quadratic off to expose the integer front
+    front_poly = det_poly
+    for _ in range(n - 1):
+        quo, rem = divmod(front_poly, q_poly)
+        if not rem.is_zero:
+            raise AssertionError("the parameter quadratic does not divide the determinant n-1 times")
+        front_poly = quo
+    if front_poly.degree != 0:
+        raise AssertionError("the determinant is not a constant times a power of the parameter quadratic")
+    front = int(front_poly.lc)
+    d_int = 1
+    d_qpow = 0
+    for i in range(n):
+        for j in range(n):
+            entry = entry_polys[i][j]
+            if entry.is_zero:
+                continue
+            k = 0
+            while k < n - 1:
+                quo, rem = divmod(entry, q_poly)
+                if not rem.is_zero:
+                    break
+                entry = quo
+                k += 1
+            content = 0
+            for c in entry.coeffs:
+                content = gcd(content, int(c))
+            d_int = lcm(d_int, front // gcd(content, front))
+            d_qpow = max(d_qpow, n - 1 - k)
+    return d_int, d_qpow

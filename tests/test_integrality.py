@@ -8,14 +8,13 @@ from simplestfields._kernels import zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
+    _shifted,
     char_poly,
-    eisenstein_witness,
     field_elt,
     field_trace_powers,
     is_algebraic_integer,
     is_eisenstein,
     number_field,
-    shifted_min_poly,
 )
 from simplestfields.numutil import factorize, p_adic_valuation
 from simplestfields.orders import (
@@ -91,17 +90,18 @@ def test_integral_elements_form_a_ring_on_witnesses():
 
 
 def test_eisenstein_witness_examples():
-    assert eisenstein_witness(4, 2) == 7
-    assert eisenstein_witness(6, 5) is None  # 49 = 7^2
-    assert eisenstein_witness(3, 0) is None  # 9 has no non-3 prime
-    assert eisenstein_witness(3, 1) == 13
+    assert number_field(4, 2).witness == 7
+    assert number_field(6, 5).witness is None  # 49 = 7^2
+    assert number_field(3, 0).witness is None  # 9 has no non-3 prime
+    assert number_field(3, 1).witness == 13
 
 
 def test_shifted_poly_is_eisenstein():
     for n, t in [(2, 3), (4, 2), (5, 3), (3, 1), (6, 1), (9, 2), (12, 1)]:
-        p = eisenstein_witness(n, t)
+        field = number_field(n, t)
+        p = field.witness
         assert p is not None
-        shifted = shifted_min_poly(n, t)
+        shifted = _shifted(n, t, field.poly)
         assert shifted.lc == 1
         assert is_eisenstein(shifted, p)
 
@@ -112,11 +112,12 @@ def test_field_certificate_against_fraction_shift_and_two_factorization_gate():
     squarefree-then-factorize gate, reasons included."""
     for n in range(2, 13):
         for t in range(-40, 41):
+            field = number_field(n, t)
             shifted = fraction_shifted_min_poly(n, t)
-            assert shifted_min_poly(n, t) == shifted, (n, t)
+            assert _shifted(n, t, field.poly) == shifted, (n, t)
             q = disc_quadratic(n, t)
             want = next((p for p, e in factorize(q).items() if p != 3 and e == 1), None)
-            assert eisenstein_witness(n, t) == want, (n, t)
+            assert field.witness == want, (n, t)
             assert want is None or is_eisenstein(shifted, want)
             for gate in ("strict", "relaxed"):
                 assert parameter_gate(n, t, gate) == two_factorization_parameter_gate(n, t, gate), (n, t, gate)

@@ -6,20 +6,23 @@ from itertools import product
 import pytest
 
 from simplestfields._kernels import hnf_rows
-from simplestfields.linalg import adjugate, bareiss_det, hnf, left_kernel_mod_p, rat_matrix_inverse
+from simplestfields.linalg import adjugate, bareiss_det, left_kernel_mod_p, rat_matrix_inverse
+from simplestfields.numberfield import number_field
+from simplestfields.orders import make_order
 
 from oracles import gauss_jordan_inverse, identity, mat_mul
 
 
 def test_hnf_examples():
-    assert hnf(identity(3)) == identity(3)
-    assert hnf([[2, 0], [1, 1]]) == [[2, 0], [1, 1]]
-    assert hnf([[0, 3], [3, 0]]) == [[3, 0], [0, 3]]
+    assert hnf_rows(identity(3), 3) == identity(3)
+    assert hnf_rows([[2, 0], [1, 1]], 2) == [[2, 0], [1, 1]]
+    assert hnf_rows([[0, 3], [3, 0]], 2) == [[3, 0], [0, 3]]
 
 
 def test_hnf_rejects_rank_deficient():
+    assert len(hnf_rows([[1, 2], [2, 4]], 2)) == 1
     with pytest.raises(ValueError):
-        hnf([[1, 2], [2, 4]])
+        make_order(number_field(2, 1), 1, [[1, 2], [2, 4]])
 
 
 def _random_unimodular_mix(rng, m):
@@ -43,9 +46,9 @@ def test_hnf_idempotent_and_basis_invariant():
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if bareiss_det(m) == 0:
             continue
-        h = hnf(m)
-        assert hnf(h) == h
-        assert hnf(_random_unimodular_mix(rng, m)) == h
+        h = hnf_rows(m, n)
+        assert hnf_rows(h, n) == h
+        assert hnf_rows(_random_unimodular_mix(rng, m), n) == h
         # canonical shape: lower triangular, positive pivots, reduced below
         for i in range(n):
             assert h[i][i] > 0

@@ -7,11 +7,10 @@ from simplestfields.numutil import (
     is_prime,
     largest_square_root_divisor,
     p_adic_valuation,
-    squarefree,
     three_free_part,
 )
 
-from oracles import full_sieve_factorize, naive_squarefree
+from oracles import full_sieve_factorize
 
 
 def test_valuation_examples():
@@ -41,17 +40,14 @@ def test_valuation_multiplicative(x, y, p):
     assert p_adic_valuation(x * y, p) == p_adic_valuation(x, p) + p_adic_valuation(y, p)
 
 
-def test_squarefree_examples():
-    assert squarefree(21)
-    assert not squarefree(49)  # 7^2: the excluded sextic parameter t = 5
-    assert not squarefree(12)
-    with pytest.raises(ValueError):
-        squarefree(0)
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_squarefree_matches_naive(n):
-    assert squarefree(n) == naive_squarefree(n)
+def test_valuation_base_below_two_rejected():
+    """A base below 2 never divides out to a unit, so it must fail fast
+    instead of looping (p = 1, -1) or dividing by zero (p = 0)."""
+    for p in (1, 0, -1, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            p_adic_valuation(12, p)
+        with pytest.raises(ValueError, match="at least 2"):
+            p_adic_valuation(Fraction(3, 4), p)
 
 
 def test_three_free_part():

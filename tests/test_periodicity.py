@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from simplestfields import orders, periodicity
+from simplestfields import numberfield, orders, periodicity
 from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import integral_basis, parameter_gate, period_length_bound
@@ -12,14 +12,14 @@ from simplestfields.periodicity import (
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
     _inverse_vandermonde,
-    canonical_basis,
     check_dual_denominator_table,
     dual_basis,
     minimality_witness,
     period_scan,
+    symbolic_dual_denominator,
 )
 
-from oracles import gauss_jordan_inverse
+from oracles import gauss_jordan_inverse, peeled_dual_denominator
 
 
 def test_trace_powers_surface():
@@ -95,6 +95,14 @@ def test_dual_basis_trace_duality():
                 assert val == (1 if i == j else 0)
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_symbolic_dual_denominator_matches_peeling_oracle(n):
+    """The front read off the discriminant and the power found by trying
+    Q^k from k = n-1 down agree with peeling Q off every interpolated entry;
+    n = 13 lies outside the table."""
+    assert symbolic_dual_denominator(n) == peeled_dual_denominator(n)
+
+
 def test_dual_denominator_law_table():
     check = check_dual_denominator_table(range(2, 13), 3)
     assert check.ok, check.failures
@@ -132,11 +140,11 @@ def test_sextic_exclusion_set():
 
 
 def test_canonical_basis_fingerprints():
-    assert canonical_basis(number_field(3, 1)) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert integral_basis(number_field(3, 1)).fingerprint == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # same residue class mod 4, same fingerprint
-    assert canonical_basis(number_field(2, 3)) == canonical_basis(number_field(2, 7))
+    assert integral_basis(number_field(2, 3)).fingerprint == integral_basis(number_field(2, 7)).fingerprint
     # different classes can differ
-    assert canonical_basis(number_field(2, 3)) != canonical_basis(number_field(2, 5))
+    assert integral_basis(number_field(2, 3)).fingerprint != integral_basis(number_field(2, 5)).fingerprint
 
 
 def test_period_scan_consistency_and_failure():
@@ -223,6 +231,27 @@ def test_period_scan_rejects_bad_arguments():
         check_dual_denominator_table(range(2, 4), -2)
 
 
+def test_period_scan_factors_each_quadratic_once(monkeypatch):
+    """Each parameter is gated next to its field, so Q(t) is factored once per
+    parameter even when the scan covers more parameters than the
+    factorization memo holds."""
+    calls = [0]
+    real = numberfield.factorize
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(numberfield, "factorize", counted)
+    numberfield.quadratic_factorization.cache_clear()
+    numberfield.number_field.cache_clear()
+    ts = range(-2100, 2101)
+    assert len(ts) > numberfield.quadratic_factorization.cache_info().maxsize
+    rep = period_scan(2, 4, ts)
+    assert rep.skipped and rep.classes
+    assert calls[0] == len(ts)
+
+
 def test_period_scan_names_the_failing_field(monkeypatch):
     real = periodicity.number_field
 
@@ -244,7 +273,7 @@ def test_period_scan_fingerprints_match_scratch(n, modulus, bound):
     members = [(t, fp) for ms in rep.classes.values() for t, fp in ms]
     assert len(members) > 60
     for t, fp in members:
-        assert fp == canonical_basis(number_field(n, t)), t
+        assert fp == integral_basis(number_field(n, t)).fingerprint, t
 
 
 def test_period_scan_reuses_orders(monkeypatch):
@@ -285,7 +314,7 @@ def test_period_scan_reuses_radical_kernels(monkeypatch):
     for ms in rep.classes.values():
         for t, fp in ms:
             orders._radical_kernel.cache_clear()
-            assert fp == canonical_basis(number_field(8, t)), t
+            assert fp == integral_basis(number_field(8, t)).fingerprint, t
 
 
 def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
