@@ -20,13 +20,19 @@ each other's oracle:
     the p-maximal orders of a period scan recur with the parameter, and so
     do their tables.
 
+Radical rounds, start checks and the class certificates of periodicity
+build tables with one routine (_mult_table, from the polynomial's
+coefficients) and key the memo with one (_table_key).
+
 The saturation loop (_saturate) may start from the p-maximal order of
 another parameter instead of Z[beta]; a period scan passes the one it found
-last in the same residue class.  Such a start is a make_order fingerprint
-(den, HNF) with den a power of p.  It is used only when the lattice over
-den contains den * beta^i for every i and is closed under all n(n+1)/2
-products of its basis rows under the new defining polynomial: it is then an
-order of p-power index over Z[beta], so it lies in the p-maximal order.
+last in the same residue class when it saturates that class member by
+member (a class too small to certify, or one whose certificate fails).
+Such a start is a make_order fingerprint (den, HNF) with den a power of p.
+It is used only when the lattice over den contains den * beta^i for every
+i and is closed under all n(n+1)/2 products of its basis rows under the new
+defining polynomial: it is then an order of p-power index over Z[beta], so
+it lies in the p-maximal order.
 Those products are exactly the multiplication table, so an accepted start
 hands its table to the first radical round, which then needs no polynomial
 product.  Otherwise saturation starts from Z[beta].  Either way the
@@ -134,17 +140,17 @@ def order_discriminant(o: Order) -> int:
     return q
 
 
-def _mult_table(field: NumberField, order: Order):
-    """T[i][j]: the coordinates of basis_i * basis_j over the order's basis.
+def _mult_table(f, den: int, basis):
+    """T[i][j]: the coordinates of basis_i * basis_j over the lattice whose
+    numerators over den are the rows of basis, under the monic polynomial with
+    coefficients f (lowest degree first).
 
     The product of two numerators over den is a numerator over den^2, so its
     coordinates solve c . (den * basis) = basis_i * basis_j mod f.  Raises
     ValueError when a product is not in the lattice over den.
     """
-    n = field.n
-    f = list(field.poly.coeffs)
-    basis = order.basis
-    scaled = [[order.den * x for x in row] for row in basis]
+    n = len(basis)
+    scaled = [[den * x for x in row] for row in basis]
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -166,16 +172,30 @@ def _residue_width(m: int) -> int:
     return ((m - 1).bit_length() + 7) // 8
 
 
+def _upper_triangle(n: int, table) -> list[int]:
+    """The coordinates of the cells T[i][j] with i <= j of a symmetric n x n
+    table, row by row: the layout of a _radical_kernel key."""
+    return [x for i in range(n) for j in range(i, n) for x in table[i][j]]
+
+
+def _table_key(p: int, values) -> bytes:
+    """The _radical_kernel key of a multiplication table, from its
+    _upper_triangle values: each reduced mod p^2 and written little-endian in
+    as many bytes as p^2 - 1 needs."""
+    pp = p * p
+    residues = [x % pp for x in values]
+    return b"".join(map(int.to_bytes, residues, repeat(_residue_width(pp)), repeat("little")))
+
+
 @lru_cache(maxsize=1024)
 def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     """The kernel vectors y of one multiplier-ring step, over F_p in the
     coordinates of the order's basis, or () when the order is p-maximal.
 
-    key is the upper triangle (i <= j, row by row) of the multiplication
-    table T mod p^2, each coordinate little-endian in as many bytes as p^2 - 1
-    needs (see _radical_round).  Everything the step decides is a function of
-    (p, n, T mod p^2), so a period scan, whose p-maximal orders recur with
-    the parameter, decides each recurring table once.
+    key is _table_key(p, _upper_triangle(n, T)) for the multiplication table
+    T of the order.  Everything the step decides is a function of (p, n,
+    T mod p^2), so a period scan, whose p-maximal orders recur with the
+    parameter, decides each recurring table once.
 
     x -> x^p is F_p-linear on O/pO; row i of its matrix M is basis_i^p mod p,
     read off the table, and the radical I/pO is the left kernel of M^k
@@ -243,11 +263,7 @@ def _radical_round(field: NumberField, order: Order, p: int, table) -> Order | N
     order over p * den.
     """
     n = field.n
-    pp = p * p
-    width = _residue_width(pp)
-    residues = [x % pp for i in range(n) for j in range(i, n) for x in table[i][j]]
-    key = b"".join(map(int.to_bytes, residues, repeat(width), repeat("little")))
-    kernel = _radical_kernel(p, n, key)
+    kernel = _radical_kernel(p, n, _table_key(p, _upper_triangle(n, table)))
     if not kernel:
         return None
     basis = order.basis
@@ -311,17 +327,27 @@ def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order 
     return None
 
 
+def _contains_power_basis(den: int, basis) -> bool:
+    """Whether the lattice with numerators basis over den contains Z[beta],
+    that is den * beta^i for every i; no polynomial is involved."""
+    try:
+        for i in range(len(basis)):
+            solve_lower_coords(basis, [0] * i + [den])
+    except ValueError:
+        return False
+    return True
+
+
 def _start_order(field: NumberField, start) -> tuple[Order, list] | None:
     """(order, multiplication table) for the fingerprint start = (den, HNF
     rows), or None unless the lattice over den contains Z[beta] and is closed
     under multiplication."""
     den, basis = start
-    order = Order(field, den, tuple(tuple(r) for r in basis))
+    if not _contains_power_basis(den, basis):
+        return None
     try:
-        for i in range(field.n):
-            solve_lower_coords(basis, [0] * i + [den])
-        return order, _mult_table(field, order)
-    except ValueError:  # den * beta^i or a product is outside the lattice over den
+        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis)
+    except ValueError:  # a product is outside the lattice over den
         return None
 
 
@@ -340,7 +366,7 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     traces = field_trace_powers(field, 2 * field.n - 2) if strategy == "enumerate" else None
     while True:
         if strategy == "radical":
-            nxt = _radical_round(field, order, p, table or _mult_table(field, order))
+            nxt = _radical_round(field, order, p, table or _mult_table(field.poly.coeffs, order.den, order.basis))
         else:
             nxt = _enumerate_round(field, order, p, traces)
         if nxt is None:

@@ -7,28 +7,39 @@ Minimality is evidence-based: for each prime divisor p of the period length
 the scanner looks for two parameters congruent modulo period/p with
 different fingerprints.
 
-A period scan computes every fingerprint, but for each candidate prime p
-whose part p^v in the modulus exceeds 1 it saturates from the last p-maximal
-order with den > 1 found for the same class of t modulo p^v, instead of from
-Z[beta].  That start is re-checked for the new parameter (it contains
-Z[beta] and is closed under multiplication; see orders) and the saturation
-loop must still find nothing to add, so the fingerprints equal those
-computed from scratch; a start that fails a check is dropped and Z[beta]
-used instead.  A prime absent from the modulus would share one start across
-all classes, which mostly fails the check, so it saturates from Z[beta].
+A period scan certifies each residue class once where it can (see
+class_certificate and _scan_slice) and saturates the other parameters one
+at a time, each from the last p-maximal order of its class, re-checked (see
+orders).  Either way every fingerprint equals the one computed from scratch,
+so a wrong modulus still yields per-parameter fingerprints and an
+inconsistent report.
 """
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .family import disc_quadratic
+from .family import disc_quadratic, specialize
 from .linalg import adjugate
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
-from .orders import GATES, STRATEGIES, _saturate, candidate_primes, join_orders, parameter_gate
+from .orders import (
+    GATES,
+    STRATEGIES,
+    Order,
+    _contains_power_basis,
+    _mult_table,
+    _radical_kernel,
+    _saturate,
+    _table_key,
+    _upper_triangle,
+    candidate_primes,
+    join_orders,
+    parameter_gate,
+)
 from .poly import Poly
 
 # Exponent of 3 in the dual-basis denominator law d = 3^e * n * Q(t), n = 2..12.
@@ -214,20 +225,98 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
     return TableCheck(not failures, tuple(entries), tuple(failures))
 
 
+def class_certificate(
+    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict"
+) -> tuple[bool, str]:
+    """Prove that fingerprint = (den, HNF), the p-maximal order at t0, is the
+    p-maximal order at every t = t0 + part * s (s in Z) that the gate
+    passes.  Returns (ok, reason).
+
+    f_t = g + t * h is monic with integer coefficients.  For the fixed
+    lattice L, a product basis_i * basis_j is free of t, reducing X^(n+j)
+    mod f_t raises the t-degree by at most j + 1 <= n - 1, and the solve
+    against den * HNF is free of t.  So each coordinate of the table T(s) of
+    L under f_(t0 + part*s) is a polynomial in s of degree <= n - 1:
+    T(s) = sum_(k < n) C(s, k) D^k, D^k the k-th forward difference at 0.
+      * Order: _mult_table raises unless the tables at s = 0..n-1 are
+        integral, and then every D^k is integral, so L is closed under
+        products for every s; D^n = 0 at s = n confirms the degree bound.
+        L contains Z[beta] (free of t) with p-power index (den = p^k).
+      * p-maximal: the stopping test reads only T mod p^2 (_radical_kernel
+        is empty iff the order is p-maximal; Cohen, GTM 138, 6.1).  Since
+        v_p C(p^a, j) = a - v_p(j) >= 2 for 1 <= j <= k when
+        a = 2 + floor(log_p k), Vandermonde's identity makes C(s, k) mod p^2
+        periodic with period p^a, so T(s) mod p^2 has period
+        P = p^(2 + floor(log_p K)), K <= n - 1 the largest k with
+        D^k != 0 mod p^2 (K = 1 if none).  One period of s is checked,
+        skipping only the s where the gate in force rejects p^2 | Q(t)
+        (strict: every such s; relaxed: only for p != 3).  Q(t) mod p^2
+        has period p^2, which divides P, so every gate-passing t of the
+        class lands on a checked s.
+    A p-maximal order of p-power index over Z[beta] is the p-maximal order,
+    the one saturation finds.  The sample tables come from specialize (no
+    field is built or cached) and none is kept.  Raises ValueError for an
+    unknown gate or a den that is not a power of p.
+    """
+    if gate not in GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    den, basis = fingerprint
+    if den != p ** p_adic_valuation(den, p):
+        raise ValueError(f"the denominator {den} is not a power of {p}")
+    if not _contains_power_basis(den, basis):
+        return False, "the lattice does not contain Z[beta]"
+    level = []
+    for s in range(n + 1):
+        try:
+            level.append(_upper_triangle(n, _mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis)))
+        except ValueError:
+            return False, f"the lattice is not closed under products at t={t0 + part * s}"
+    diffs = []  # D^0, ..., D^n as _upper_triangle values
+    while level:
+        diffs.append(level[0])
+        level = [[b - a for a, b in zip(u, v)] for u, v in zip(level, level[1:])]
+    if any(diffs[n]):
+        raise AssertionError(f"the table is not of degree below {n} in the parameter")
+    pp = p * p
+    diffs = [[x % pp for x in d] for d in diffs[:n]]
+    top = max((k for k in range(1, n) if any(diffs[k])), default=1)
+    period = pp
+    while period * p <= pp * top:
+        period *= p
+    for s in range(period):
+        t = t0 + part * s
+        if (gate == "strict" or p != 3) and disc_quadratic(n, t) % pp == 0:
+            continue
+        values = diffs[0]
+        for k in range(1, top + 1):
+            c = comb(s, k) % pp
+            if c:
+                values = [a + c * b for a, b in zip(values, diffs[k])]
+        if _radical_kernel(p, n, _table_key(p, values)):
+            return False, f"the lattice is not {p}-maximal at t={t}"
+    return True, "ok"
+
+
 def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, str]]]:
     """(fingerprints, skipped) of the parameters ts, each list in order of t.
 
-    Each t passes the gate right before its field is built, so number_field
-    reads the factorization of Q(t) that the gate has just memoized, in a
-    pool worker too: Q(t) is factored once per parameter, however long the
-    range.  A rejected t goes to skipped with the gate's reason.  Each prime
-    p with p^v = p^v_p(modulus) > 1 saturates from the last p-maximal order
-    with den > 1 of the same class of t modulo p^v, kept in a cache local to
-    this call.  period_scan has already checked the gate and strategy names.
+    Each t passes the gate right before its field is built, so Q(t) is
+    factored once per parameter, in a pool worker too; a rejected t goes to
+    skipped with the gate's reason.  For each prime p, with p^v the p-part
+    of the modulus, a class of t mod p^v with more than n members in ts (a
+    certificate samples n + 1 tables) is saturated at its first gate-passing
+    member and, under the radical strategy, certified there; its later
+    members take that order.  Other classes are saturated member by member,
+    from the last p-maximal order with den > 1 of the class when p^v > 1.
+    Joins are memoized per tuple of p-part fingerprints.  period_scan has
+    already checked the gate and strategy names.
     """
     n, modulus, ts, gate, strategy = args
     prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
+    members = Counter((p, t % part) for t in ts for p, part in prime_parts.items())
+    certified: dict[tuple[int, int], Order | None] = {}  # None: not certifiable
     starts: dict[tuple[int, int], Fingerprint] = {}
+    joins: dict[tuple[Fingerprint, ...], Fingerprint] = {}
     out = []
     skipped = []
     for t in ts:
@@ -240,11 +329,18 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
             orders = []
             for p, part in prime_parts.items():
                 key = (p, t % part)
-                o = _saturate(field, p, strategy, starts.get(key))
-                if part > 1 and o.den > 1:
-                    starts[key] = o.fingerprint
+                o = certified.get(key)
+                if o is None:
+                    o = _saturate(field, p, strategy, starts.get(key))
+                    if key not in certified and strategy == "radical" and members[key] > n:
+                        certified[key] = o if class_certificate(n, p, part, t, o.fingerprint, gate)[0] else None
+                    if part > 1 and o.den > 1:
+                        starts[key] = o.fingerprint
                 orders.append(o)
-            out.append((t, join_orders(field, orders).fingerprint))
+            parts = tuple(o.fingerprint for o in orders)
+            if parts not in joins:
+                joins[parts] = join_orders(field, orders).fingerprint
+            out.append((t, joins[parts]))
         except Exception as exc:
             exc.args = (f"{exc} (n={n}, t={t})",)
             raise

@@ -387,10 +387,14 @@ def test_start_order_checks():
     assert _start_order(f, (2, half_beta)) is None  # (beta/2)^2 is not in the lattice
 
 
+def _table(field, order):
+    return _mult_table(field.poly.coeffs, order.den, order.basis)
+
+
 def _radical_chain(field, p):
     """Orders from Z[beta] to the p-maximal order, one radical round apart."""
     chain = [power_order(field)]
-    while (nxt := _radical_round(field, chain[-1], p, _mult_table(field, chain[-1]))) is not None:
+    while (nxt := _radical_round(field, chain[-1], p, _table(field, chain[-1]))) is not None:
         chain.append(nxt)
     return chain
 
@@ -408,7 +412,7 @@ def _walk_against_oracle(field, p, order, table, cold):
         assert nxt == power_basis_radical_round(field, order, p), (field.n, field.t, p, rounds)
         if nxt is None:
             return rounds
-        order, table, rounds = nxt, _mult_table(field, nxt), rounds + 1
+        order, table, rounds = nxt, _table(field, nxt), rounds + 1
 
 
 def _check_rounds_against_oracle(cold):
@@ -428,7 +432,7 @@ def _check_rounds_against_oracle(cold):
             for t in ts[:8]:
                 field = number_field(n, t)
                 start = power_order(field)
-                if _walk_against_oracle(field, p, start, _mult_table(field, start), cold) < 2:
+                if _walk_against_oracle(field, p, start, _table(field, start), cold) < 2:
                     continue
                 long_chains.add((n, p))
                 other = next(u for k in range(1, 99) for u in (t - k * part, t + k * part) if parameter_gate(n, u)[0])

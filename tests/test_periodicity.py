@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 
 from simplestfields import numberfield, orders, periodicity
+from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import integral_basis, parameter_gate, period_length_bound
@@ -319,13 +320,128 @@ def test_period_scan_reuses_radical_kernels(monkeypatch):
 
 def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
     """At modulus 1 every class would share one start per prime, which mostly
-    fails the checks, so the scan saturates from Z[beta] without trying it."""
+    fails the checks, so the scan saturates from Z[beta] without trying it.
+    At modulus 4 the classes of |t| <= 11 have at most n = 6 members, too few
+    to certify, so each member saturates from the start of its class."""
     tried = []
     monkeypatch.setattr(orders, "_start_order", lambda field, start: tried.append(field.t))
     period_scan(6, 1, range(-30, 31))
     assert tried == []
-    period_scan(6, 4, range(-30, 31))
+    period_scan(6, 4, range(-11, 12))
     assert tried
+
+
+def _class_members(n, p, part, r, count, gate="strict"):
+    """The first count gate-passing t = r + part * s, s = 0, 1, ..., within 60 steps."""
+    ts = (t for t in range(r, r + 60 * part, part) if parameter_gate(n, t, gate)[0])
+    return [t for t, _ in zip(ts, range(count))]
+
+
+# n = 12, p = 3: the 18 classes r < 27 modulo 243 with 3 not dividing r, one
+# in each nonempty class modulo 27 (all 162 nonempty classes take about 17 s).
+N12_P3_CLASSES = tuple(r for r in range(27) if r % 3)
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(n, p) for n in sorted(FINAL_PERIOD_TABLE) for p in orders.candidate_primes(n)],
+)
+def test_class_certificate_covers_final_period_table(n, p):
+    """Every class modulo the p-part of the verified period that holds a
+    gate-passing t certifies at its first such t; the certified order is the
+    p-maximal order at members past the n + 1 sampled parameters.  A class
+    with no gate-passing t has p^2 | Q(t) at all its members."""
+    part = p ** p_adic_valuation(FINAL_PERIOD_TABLE[n], p)
+    classes = N12_P3_CLASSES if (n, p) == (12, 3) else range(part)
+    populated = 0
+    for r in classes:
+        members = _class_members(n, p, part, r, 1)
+        if not members:
+            assert all(disc_quadratic(n, r + part * s) % (p * p) == 0 for s in range(p * p)), r
+            continue
+        populated += 1
+        t0 = members[0]
+        fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+        assert periodicity.class_certificate(n, p, part, t0, fp) == (True, "ok"), (r, t0)
+        far = _class_members(n, p, part, t0 + (n + 1) * part, 1) + _class_members(n, p, part, t0 - 9 * part, 1)
+        for t in far if n < 12 else far[:1]:
+            assert orders.p_maximal_order(number_field(n, t), p).fingerprint == fp, (r, t)
+    assert populated >= len(classes) * 2 // 3
+
+
+@pytest.mark.parametrize("n, p, part", [(8, 2, 16), (8, 3, 27), (12, 2, 8)])
+def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
+    """The tables mod p^2 a certificate checks, read off its Newton form, are
+    those of the parameters t0 + part * s, in order of s, that the gate does
+    not reject for p^2 | Q(t); they cover at least s < p^2, and no s below
+    twice the bound p^(2 + floor(log_p(n - 1))) brings another table."""
+    checked = []
+    real = periodicity._radical_kernel
+
+    def recorded(p_, n_, key):
+        checked.append(key)
+        return real(p_, n_, key)
+
+    monkeypatch.setattr(periodicity, "_radical_kernel", recorded)
+    period = p * p
+    while period * p <= p * p * (n - 1):
+        period *= p
+    for r in (1, 2, 5):
+        t0 = _class_members(n, p, part, r, 1)[0]
+        den, basis = fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+        checked.clear()
+        assert periodicity.class_certificate(n, p, part, t0, fp) == (True, "ok")
+        keys = []
+        for s in range(2 * period):
+            t = t0 + part * s
+            if disc_quadratic(n, t) % (p * p):
+                table = orders._mult_table(specialize(n, t).poly.coeffs, den, basis)
+                keys.append((s, orders._table_key(p, orders._upper_triangle(n, table))))
+        in_order = [key for _, key in keys]
+        assert checked == in_order[: len(checked)] and set(checked) == set(in_order)
+        assert len(checked) >= sum(1 for s, _ in keys if s < p * p)
+
+
+def test_class_certificate_fails_below_the_period(monkeypatch):
+    """At n = 8 the 2-part of the period is 16, not 8: modulo 8, classes 0
+    and 7 fail to certify and the other six certify.  The scan at modulus 216
+    keeps per-t fingerprints for the failing classes and reports the same
+    inconsistent classes as saturating every parameter."""
+    outcomes = {}
+    for r in range(8):
+        t0 = _class_members(8, 2, 8, r, 1)[0]
+        fp = orders.p_maximal_order(number_field(8, t0), 2).fingerprint
+        outcomes[r] = periodicity.class_certificate(8, 2, 8, t0, fp)[0]
+    assert [r for r, ok in outcomes.items() if not ok] == [0, 7]
+    calls = []
+    real = periodicity.class_certificate
+
+    def logged(*args):
+        result = real(*args)
+        calls.append(result[0])
+        return result
+
+    monkeypatch.setattr(periodicity, "class_certificate", logged)
+    certified = period_scan(8, 216, range(-500, 501))
+    assert calls.count(False) == 2 and calls.count(True) == 8 - 2 + 27
+    monkeypatch.setattr(periodicity, "class_certificate", lambda *args: (False, "saturate every parameter"))
+    per_t = period_scan(8, 216, range(-500, 501))
+    assert certified.inconsistent and certified == per_t
+
+
+@pytest.mark.parametrize("n, modulus", [(6, 36), (3, 1)])
+def test_period_scan_follows_the_relaxed_gate(n, modulus):
+    """The relaxed gate passes t with 9 | Q(t), so a 3-adic certificate may not
+    skip them; every fingerprint is the relaxed integral basis and the
+    verdict is the one of those fingerprints."""
+    rep = period_scan(n, modulus, range(-300, 301), gate="relaxed")
+    by_class = {}
+    for r, members in rep.classes.items():
+        for t, fp in members:
+            assert fp == integral_basis(number_field(n, t), gate="relaxed").fingerprint, t
+            by_class.setdefault(r, set()).add(fp)
+    assert any(disc_quadratic(n, t) % 9 == 0 for ms in rep.classes.values() for t, _ in ms)
+    assert rep.consistent == all(len(fps) == 1 for fps in by_class.values())
 
 
 def test_order_first_row_is_unit():
