@@ -8,9 +8,9 @@ the scanner looks for two parameters congruent modulo period/p with
 different fingerprints.
 
 A period scan certifies each residue class once where it can (see
-class_certificate and _scan_slice) and saturates the other parameters one
-at a time, each from the last p-maximal order of its class, re-checked (see
-orders).  Either way every fingerprint equals the one computed from scratch,
+orders.class_certificate and _scan_slice) and saturates the other
+parameters one at a time, each from the last p-maximal order of its class,
+re-checked (see orders).  Either way every fingerprint equals the one computed from scratch,
 so a wrong modulus still yields per-parameter fingerprints and an
 inconsistent report.
 """
@@ -20,23 +20,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
-from .family import disc_quadratic, specialize
+from .family import disc_quadratic
 from .linalg import adjugate
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
 from .orders import (
     GATES,
     STRATEGIES,
+    Fingerprint,
     Order,
-    _contains_power_basis,
-    _mult_table,
-    _radical_kernel,
     _saturate,
-    _table_key,
-    _upper_triangle,
     candidate_primes,
+    class_certificate,
     join_orders,
     parameter_gate,
 )
@@ -64,8 +61,6 @@ PERIOD_BOUND_TABLE = {
 # Smallest verified period lengths (minimal-period determination is out of
 # scope for n = 7, 10, 11).
 FINAL_PERIOD_TABLE = {2: 4, 3: 1, 4: 24, 5: 75, 6: 36, 8: 432, 9: 1, 12: 1944}
-
-Fingerprint = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,7 @@ class TableCheck:
     failures: tuple
 
 
-def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "strict") -> TableCheck:
+def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
     """Verify the denominator-exponent table.
 
     Two layers: per degree, the family-level symbolic denominator must equal
@@ -194,7 +189,8 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
     determinant is Q(t)^2 on the nose and the true front is 1 (the table
     value 3^0 * 3 is an upper multiple; this is also why the smallest period
     there is 1).  Per sampled parameter, the numeric lcm must divide the
-    formula value, with equality away from n = 3.  Raises ValueError for
+    formula value, with equality away from n = 3; the samples are the first
+    t = 1, 2, ... that the strict gate passes.  Raises ValueError for
     t_samples_per_n < 1, which would check the symbolic layer only.
     """
     if t_samples_per_n < 1:
@@ -212,7 +208,7 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
         t = 0
         while found < t_samples_per_n:
             t += 1
-            ok, _ = parameter_gate(n, t, gate)
+            ok, _ = parameter_gate(n, t)
             if not ok:
                 continue
             found += 1
@@ -223,78 +219,6 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int, gate: str = "st
             if db.denominator != expected or formula % db.denominator != 0:
                 failures.append((n, t, db.denominator, expected))
     return TableCheck(not failures, tuple(entries), tuple(failures))
-
-
-def class_certificate(
-    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict"
-) -> tuple[bool, str]:
-    """Prove that fingerprint = (den, HNF), the p-maximal order at t0, is the
-    p-maximal order at every t = t0 + part * s (s in Z) that the gate
-    passes.  Returns (ok, reason).
-
-    f_t = g + t * h is monic with integer coefficients.  For the fixed
-    lattice L, a product basis_i * basis_j is free of t, reducing X^(n+j)
-    mod f_t raises the t-degree by at most j + 1 <= n - 1, and the solve
-    against den * HNF is free of t.  So each coordinate of the table T(s) of
-    L under f_(t0 + part*s) is a polynomial in s of degree <= n - 1:
-    T(s) = sum_(k < n) C(s, k) D^k, D^k the k-th forward difference at 0.
-      * Order: _mult_table raises unless the tables at s = 0..n-1 are
-        integral, and then every D^k is integral, so L is closed under
-        products for every s; D^n = 0 at s = n confirms the degree bound.
-        L contains Z[beta] (free of t) with p-power index (den = p^k).
-      * p-maximal: the stopping test reads only T mod p^2 (_radical_kernel
-        is empty iff the order is p-maximal; Cohen, GTM 138, 6.1).  Since
-        v_p C(p^a, j) = a - v_p(j) >= 2 for 1 <= j <= k when
-        a = 2 + floor(log_p k), Vandermonde's identity makes C(s, k) mod p^2
-        periodic with period p^a, so T(s) mod p^2 has period
-        P = p^(2 + floor(log_p K)), K <= n - 1 the largest k with
-        D^k != 0 mod p^2 (K = 1 if none).  One period of s is checked,
-        skipping only the s where the gate in force rejects p^2 | Q(t)
-        (strict: every such s; relaxed: only for p != 3).  Q(t) mod p^2
-        has period p^2, which divides P, so every gate-passing t of the
-        class lands on a checked s.
-    A p-maximal order of p-power index over Z[beta] is the p-maximal order,
-    the one saturation finds.  The sample tables come from specialize (no
-    field is built or cached) and none is kept.  Raises ValueError for an
-    unknown gate or a den that is not a power of p.
-    """
-    if gate not in GATES:
-        raise ValueError(f"unknown gate {gate!r}")
-    den, basis = fingerprint
-    if den != p ** p_adic_valuation(den, p):
-        raise ValueError(f"the denominator {den} is not a power of {p}")
-    if not _contains_power_basis(den, basis):
-        return False, "the lattice does not contain Z[beta]"
-    level = []
-    for s in range(n + 1):
-        try:
-            level.append(_upper_triangle(n, _mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis)))
-        except ValueError:
-            return False, f"the lattice is not closed under products at t={t0 + part * s}"
-    diffs = []  # D^0, ..., D^n as _upper_triangle values
-    while level:
-        diffs.append(level[0])
-        level = [[b - a for a, b in zip(u, v)] for u, v in zip(level, level[1:])]
-    if any(diffs[n]):
-        raise AssertionError(f"the table is not of degree below {n} in the parameter")
-    pp = p * p
-    diffs = [[x % pp for x in d] for d in diffs[:n]]
-    top = max((k for k in range(1, n) if any(diffs[k])), default=1)
-    period = pp
-    while period * p <= pp * top:
-        period *= p
-    for s in range(period):
-        t = t0 + part * s
-        if (gate == "strict" or p != 3) and disc_quadratic(n, t) % pp == 0:
-            continue
-        values = diffs[0]
-        for k in range(1, top + 1):
-            c = comb(s, k) % pp
-            if c:
-                values = [a + c * b for a, b in zip(values, diffs[k])]
-        if _radical_kernel(p, n, _table_key(p, values)):
-            return False, f"the lattice is not {p}-maximal at t={t}"
-    return True, "ok"
 
 
 def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, str]]]:

@@ -21,6 +21,21 @@ def test_library_has_no_bare_assert():
     assert not found, f"bare assert statements: {found}"
 
 
+def test_periodicity_reads_no_table_internals():
+    """The multiplication table, its layout and its memo key belong to orders:
+    periodicity imports no private name from it but _saturate."""
+    path = SRC / "periodicity.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "orders"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_saturate"}, sorted(private)
+
+
 def _tracer_layers() -> dict:
     """The tracer's LAYERS table, read from its source without importing it."""
     tree = ast.parse(TRACER.read_text(), filename=str(TRACER))

@@ -363,7 +363,8 @@ def test_trace_candidates_match_brute_force_filter():
 
 def test_start_order_checks():
     """A start lattice is used only when it contains Z[beta] and is closed
-    under products; an accepted start comes with its multiplication table."""
+    under products; an accepted start comes with its multiplication table,
+    the cells T[i][j] with i <= j, row by row."""
     f = number_field(4, 3)
     n = f.n
     poly = list(f.poly.coeffs)
@@ -373,9 +374,12 @@ def test_start_order_checks():
         order, table = _start_order(f, start.fingerprint)
         assert order == start
         den, basis = order.den, order.basis
+        assert len(table) == n * n * (n + 1) // 2
+        cells = iter(table[k : k + n] for k in range(0, len(table), n))
         for i in range(n):
-            for j in range(n):
-                product = [sum(c * row[k] for c, row in zip(table[i][j], basis)) for k in range(n)]
+            for j in range(i, n):
+                cell = next(cells)
+                product = [sum(c * row[k] for c, row in zip(cell, basis)) for k in range(n)]
                 want = zx_divexact(zx_mulmod(basis[i], basis[j], poly), den)
                 assert product == want + [0] * (n - len(want)), (i, j)
     diag = [[2 if i == j else 0 for j in range(n)] for i in range(n)]

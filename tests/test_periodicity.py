@@ -279,7 +279,10 @@ def test_period_scan_fingerprints_match_scratch(n, modulus, bound):
 
 def test_period_scan_reuses_orders(monkeypatch):
     """The scan runs fewer radical rounds than computing every field from
-    Z[beta]: a start that is always rejected would not."""
+    Z[beta]: a start that is always rejected would not.  At (6, 36) the
+    class certificates alone would do; the n = 12 scan of the classes 0..11
+    mod 1944 makes no certificate (every 3-adic class is too small), so
+    there the transported starts do it (156 rounds against 454)."""
     rounds = [0]
     real = orders._radical_round
 
@@ -287,13 +290,25 @@ def test_period_scan_reuses_orders(monkeypatch):
         rounds[0] += 1
         return real(*args)
 
+    certificates = []
+    real_certificate = periodicity.class_certificate
+
+    def logged(*args):
+        certificates.append(args)
+        return real_certificate(*args)
+
     monkeypatch.setattr(orders, "_radical_round", counted)
-    rep = period_scan(6, 36, range(-60, 61))
-    scan_rounds, rounds[0] = rounds[0], 0
-    for ms in rep.classes.values():
-        for t, _ in ms:
-            integral_basis(number_field(6, t))
-    assert scan_rounds < rounds[0]
+    monkeypatch.setattr(periodicity, "class_certificate", logged)
+    for n, modulus, t_range, residues in ((6, 36, range(-60, 61), None), (12, 1944, range(-4000, 4001), range(12))):
+        rounds[0] = 0
+        certificates.clear()
+        rep = period_scan(n, modulus, t_range, residues=residues)
+        scan_rounds, rounds[0] = rounds[0], 0
+        for ms in rep.classes.values():
+            for t, _ in ms:
+                integral_basis(number_field(n, t))
+        assert scan_rounds < rounds[0], n
+    assert not certificates
 
 
 def test_period_scan_reuses_radical_kernels(monkeypatch):
@@ -316,6 +331,14 @@ def test_period_scan_reuses_radical_kernels(monkeypatch):
         for t, fp in ms:
             orders._radical_kernel.cache_clear()
             assert fp == integral_basis(number_field(8, t)).fingerprint, t
+
+
+def test_period_scan_enumerate_matches_radical():
+    """The enumerate strategy never certifies; its members saturate one at a
+    time, each from the last order of its class, and the report equals the
+    radical one."""
+    args = (4, 24, range(-40, 41))
+    assert period_scan(*args, strategy="enumerate") == period_scan(*args)
 
 
 def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
@@ -362,7 +385,7 @@ def test_class_certificate_covers_final_period_table(n, p):
         populated += 1
         t0 = members[0]
         fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
-        assert periodicity.class_certificate(n, p, part, t0, fp) == (True, "ok"), (r, t0)
+        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok"), (r, t0)
         far = _class_members(n, p, part, t0 + (n + 1) * part, 1) + _class_members(n, p, part, t0 - 9 * part, 1)
         for t in far if n < 12 else far[:1]:
             assert orders.p_maximal_order(number_field(n, t), p).fingerprint == fp, (r, t)
@@ -376,13 +399,13 @@ def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
     not reject for p^2 | Q(t); they cover at least s < p^2, and no s below
     twice the bound p^(2 + floor(log_p(n - 1))) brings another table."""
     checked = []
-    real = periodicity._radical_kernel
+    real = orders._radical_kernel
 
     def recorded(p_, n_, key):
         checked.append(key)
         return real(p_, n_, key)
 
-    monkeypatch.setattr(periodicity, "_radical_kernel", recorded)
+    monkeypatch.setattr(orders, "_radical_kernel", recorded)
     period = p * p
     while period * p <= p * p * (n - 1):
         period *= p
@@ -390,16 +413,27 @@ def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
         t0 = _class_members(n, p, part, r, 1)[0]
         den, basis = fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
         checked.clear()
-        assert periodicity.class_certificate(n, p, part, t0, fp) == (True, "ok")
+        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
         keys = []
         for s in range(2 * period):
             t = t0 + part * s
             if disc_quadratic(n, t) % (p * p):
                 table = orders._mult_table(specialize(n, t).poly.coeffs, den, basis)
-                keys.append((s, orders._table_key(p, orders._upper_triangle(n, table))))
+                keys.append((s, orders._table_key(p, table)))
         in_order = [key for _, key in keys]
         assert checked == in_order[: len(checked)] and set(checked) == set(in_order)
         assert len(checked) >= sum(1 for s, _ in keys if s < p * p)
+
+
+def test_class_certificate_period_counts_the_log_term(monkeypatch):
+    """At n = 10, p = 2, part 1, t0 = 2 the largest k with D^k != 0 mod p^2
+    is K = 3 >= p, so the certificate period is p^(2 + floor(log_p K)) = 8,
+    not p^2 = 4: with every kernel empty, exactly 8 tables are looked up."""
+    fp = orders.p_maximal_order(number_field(10, 2), 2).fingerprint
+    looked_up = []
+    monkeypatch.setattr(orders, "_radical_kernel", lambda p, n, key: looked_up.append(key) or ())
+    assert orders.class_certificate(10, 2, 1, 2, fp) == (True, "ok")
+    assert len(looked_up) == 8
 
 
 def test_class_certificate_fails_below_the_period(monkeypatch):
@@ -411,7 +445,7 @@ def test_class_certificate_fails_below_the_period(monkeypatch):
     for r in range(8):
         t0 = _class_members(8, 2, 8, r, 1)[0]
         fp = orders.p_maximal_order(number_field(8, t0), 2).fingerprint
-        outcomes[r] = periodicity.class_certificate(8, 2, 8, t0, fp)[0]
+        outcomes[r] = orders.class_certificate(8, 2, 8, t0, fp)[0]
     assert [r for r, ok in outcomes.items() if not ok] == [0, 7]
     calls = []
     real = periodicity.class_certificate
