@@ -52,6 +52,7 @@ from .periodicity import (
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
     dual_basis,
+    dual_denominator_front,
     minimality_witness,
     period_scan,
     symbolic_dual_denominator,
@@ -100,6 +101,7 @@ __all__ = [
     "FINAL_PERIOD_TABLE",
     "PERIOD_BOUND_TABLE",
     "dual_basis",
+    "dual_denominator_front",
     "minimality_witness",
     "period_scan",
     "symbolic_dual_denominator",

@@ -21,7 +21,6 @@ from .identities import run_identity_suite
 from .numberfield import ParameterNotCoveredError, number_field
 from .orders import integral_basis, order_discriminant, period_length_bound
 from .periodicity import (
-    DUAL_DENOMINATOR_EXPONENT,
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
     check_dual_denominator_table,

@@ -1,10 +1,10 @@
 """Construction and structural checks of the generalized simplest polynomial family.
 
-The degree-n family polynomial and its companion are binomial-weighted sums
-over two 6-periodic coefficient tables; the symbolic versions carry
-polynomials in the parameter m as coefficients.  The check_* functions
-verify the recursion, derivative, reflection, transformation and evaluation
-identities exactly (no floating point anywhere).
+The family is linear in its parameter m: F_n = G_n + m * R_n, with G_n and
+the companion R_n binomial-weighted sums over two 6-periodic integer tables.
+The check_* functions verify the recursion, derivative, reflection,
+transformation and evaluation identities exactly (no floating point
+anywhere).
 """
 
 from dataclasses import dataclass
@@ -14,23 +14,23 @@ from math import comb
 from .cyclo import CycloRing, embed_root, sqrt_minus_three
 from .poly import Poly
 
-# 6-periodic coefficient tables; entries of the first are polynomials in m.
-_FAMILY_TABLE = (
-    Poly([1]),  # i = 0 mod 6
-    Poly([0, -1]),  # -m
-    Poly([-1, -1]),  # -m - 1
-    Poly([-1]),
-    Poly([0, 1]),  # m
-    Poly([1, 1]),  # m + 1
-)
+# The family table (1, -m, -m-1, -1, m, m+1) is _BASE_TABLE + m * _COMPANION_TABLE.
+_BASE_TABLE = (1, 0, -1, -1, 0, 1)
 _COMPANION_TABLE = (0, -1, -1, 0, 1, 1)
+
+
+def _pencil(n: int) -> list[tuple[int, int]]:
+    """The coefficients (g_i, r_i) of X^i in G_n and R_n, for i = 0..n."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return [(comb(n, i) * _BASE_TABLE[(n - i) % 6], comb(n, i) * _COMPANION_TABLE[(n - i) % 6]) for i in range(n + 1)]
 
 
 def family_coeff(i: int) -> Poly:
     """Coefficient table value for the family polynomial (a polynomial in m)."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    return _FAMILY_TABLE[i % 6]
+    return Poly([_BASE_TABLE[i % 6], _COMPANION_TABLE[i % 6]])
 
 
 def companion_coeff(i: int) -> int:
@@ -42,22 +42,18 @@ def companion_coeff(i: int) -> int:
 
 def family_poly(n: int) -> Poly:
     """Degree-n family polynomial, coefficients = polynomials in the parameter m."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return Poly([comb(n, i) * family_coeff(n - i) for i in range(n + 1)])
+    return Poly([Poly([g, r]) for g, r in _pencil(n)])
 
 
 def companion_poly(n: int) -> Poly:
     """Degree-(n-1) companion polynomial with integer coefficients."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return Poly([comb(n, i) * companion_coeff(n - i) for i in range(n + 1)])
+    return Poly([r for _, r in _pencil(n)])
 
 
 def family_poly_at(n: int, m) -> Poly:
     """Family polynomial with the parameter specialized to a rational number."""
     mval = Fraction(m)
-    return Poly([c(mval) for c in family_poly(n).coeffs])
+    return Poly([g + r * mval for g, r in _pencil(n)])
 
 
 def disc_quadratic(n: int, t: int) -> int:
@@ -76,19 +72,16 @@ class SpecializedPoly:
 
 
 def specialize(n: int, t: int) -> SpecializedPoly:
-    """Member of the family at integer parameter t (integer coefficients, checked):
-    m = t, or t/3 when 3 | n, put into each coefficient c_0 + c_1 * m exactly."""
+    """Member of the family at integer parameter t, in integers: G_n + t * R_n,
+    or G_n + t * (R_n / 3) when 3 | n (m = t/3), once 3 | R_n is checked."""
     if n < 2:
         raise ValueError("degree must be at least 2")
-    s = 3 if n % 3 == 0 else 1
-    coeffs = []
-    for c in family_poly(n).coeffs:
-        q, r = divmod(c[0] * s + c[1] * t, s)
-        if r:
-            raise AssertionError(f"non-integer coefficient at n={n}, t={t}")
-        coeffs.append(q)
-    rule = "t/3" if s == 3 else "t"
-    return SpecializedPoly(n, t, Poly(coeffs), rule)
+    pencil = _pencil(n)
+    if n % 3:
+        return SpecializedPoly(n, t, Poly([g + t * r for g, r in pencil]), "t")
+    if any(r % 3 for _, r in pencil):
+        raise AssertionError(f"3 does not divide the companion polynomial at n={n}")
+    return SpecializedPoly(n, t, Poly([g + t * (r // 3) for g, r in pencil]), "t/3")
 
 
 def discriminant_formula(n: int, m) -> Fraction:
@@ -175,15 +168,14 @@ def check_transform_identity(n: int, m_samples, alpha_samples) -> CheckReport:
         msq = mval * mval + mval + 1
         for a in alpha_samples:
             aval = Fraction(a)
-            # lhs expanded through the binomial form, no denominators involved:
-            # sum_i binom(n,i) g(n-i)(m) (alpha X - 1)^i (X + alpha + 1)^(n-i)
+            # lhs expanded through the coefficients f_i of f, no denominators involved:
+            # sum_i f_i (alpha X - 1)^i (X + alpha + 1)^(n-i)
             lin1 = Poly([-1, aval])
             lin2 = Poly([aval + 1, 1])
             lhs = Poly()
-            for i in range(n + 1):
-                g = family_coeff(n - i)(mval)
-                if g:
-                    lhs = lhs + comb(n, i) * g * lin1**i * lin2 ** (n - i)
+            for i, c in enumerate(f.coeffs):
+                if c:
+                    lhs = lhs + c * lin1**i * lin2 ** (n - i)
             rhs = f(aval) * f - msq * r(aval) * r
             if lhs != rhs:
                 return CheckReport(False, checks, f"transform identity fails at n={n}, m={mval}, alpha={aval}")

@@ -1,5 +1,7 @@
 """Dual bases, denominator laws, canonical basis fingerprints and period scans.
 
+The table checks and the period bounds read the dual denominator's one
+exact family front, dual_denominator_front(n).
 The period machinery compares integral bases across parameters through their
 canonical (denominator, HNF matrix) fingerprint: two parameters in the same
 residue class modulo the period length must produce identical fingerprints.
@@ -16,7 +18,6 @@ inconsistent report.
 """
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,21 +43,19 @@ from .poly import Poly
 # Exponent of 3 in the dual-basis denominator law d = 3^e * n * Q(t), n = 2..12.
 DUAL_DENOMINATOR_EXPONENT = {2: 0, 3: 0, 4: 1, 5: 3, 6: 2, 7: 4, 8: 5, 9: 4, 10: 6, 11: 9, 12: 8}
 
-# Improved per-degree period-length bounds (gcd of the dual-denominator and
-# universal-denominator routes, raised to the n-th power).
-PERIOD_BOUND_TABLE = {
-    2: 2**2,
-    3: 1,
-    4: (3 * 4) ** 4,
-    5: (3**3 * 5) ** 5,
-    6: (3**2 * 6) ** 6,
-    7: (3**4 * 7) ** 7,
-    8: (3**5 * 8) ** 8,
-    9: (3**4 * 9) ** 9,
-    10: (3**6 * 10) ** 10,
-    11: (3**9 * 11) ** 11,
-    12: (3**8 * 12) ** 12,
-}
+
+def dual_denominator_front(n: int) -> int:
+    """Exact front of the family-level dual denominator front * Q(t): 3^e * n,
+    except 1 at n = 3, where the trace-matrix determinant is Q(t)^2 (so the
+    smallest period there is 1)."""
+    if n not in DUAL_DENOMINATOR_EXPONENT:
+        raise ValueError("the dual-denominator law is tabulated for n = 2..12")
+    return 1 if n == 3 else 3 ** DUAL_DENOMINATOR_EXPONENT[n] * n
+
+
+# Improved period-length bounds front^n: the front divides
+# orders.denominator_bound(n), so it is the gcd of the two routes.
+PERIOD_BOUND_TABLE = {n: dual_denominator_front(n) ** n for n in DUAL_DENOMINATOR_EXPONENT}
 
 # Smallest verified period lengths (minimal-period determination is out of
 # scope for n = 7, 10, 11).
@@ -95,7 +94,7 @@ def dual_basis(field: NumberField) -> DualBasis:
     det, adj = adjugate(_trace_matrix(field))
     d = abs(det) // gcd(det, *(x for row in adj for x in row))
     law = None
-    if 2 <= n <= 12:
+    if n in DUAL_DENOMINATOR_EXPONENT:
         law = (3 ** DUAL_DENOMINATOR_EXPONENT[n] * n * disc_quadratic(n, field.t)) % d == 0
     return DualBasis(field, tuple(tuple(Fraction(a, det) for a in row) for row in adj), d, law)
 
@@ -136,11 +135,12 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     discriminant, which number_field certifies against the closed form
     front * Q(t)^(n-1); it must equal the field's discriminant at every
     point, and front is the one common quotient det / Q(t)^(n-1).  The
-    adjugate is interpolated at t = 0, ..., 2n-2; its entries have degree at
-    most 2n-2, which three extra verification points confirm.  Q is monic,
-    so by Gauss's lemma an entry has the content of its quotient by any
-    power of Q, and power is n-1-k for the largest k <= n-1 with Q^k
-    dividing every nonzero entry.
+    trace matrix is symmetric, so its adjugate is too, and only the entries
+    on and above the diagonal are interpolated, at t = 0, ..., 2n-2; they
+    have degree at most 2n-2, which three extra verification points
+    confirm.  Q is monic, so by Gauss's lemma an entry has the content of
+    its quotient by any power of Q, and power is n-1-k for the largest
+    k <= n-1 with Q^k dividing every nonzero entry.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -156,12 +156,12 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
         if rem:
             raise AssertionError("the parameter quadratic does not divide the determinant n-1 times")
         fronts.add(front)
-        points.append([x for row in adj0 for x in row])
+        points.append([adj0[i][j] for i in range(n) for j in range(i, n)])
     if len(fronts) != 1:
         raise AssertionError("the determinant is not a constant times a power of the parameter quadratic")
     (front,) = fronts
     fit = points[: deg_bound + 1]
-    entries = [Poly(_interpolate_int([adj0[k] for adj0 in fit])) for k in range(n * n)]
+    entries = [Poly(_interpolate_int([adj0[k] for adj0 in fit])) for k in range(len(points[0]))]
     for extra in range(deg_bound + 1, deg_bound + 4):
         if [entry(extra) for entry in entries] != points[extra]:
             raise AssertionError("adjugate degree bound violated")
@@ -170,7 +170,10 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     for entry in entries:
         d_int = lcm(d_int, front // gcd(front, *entry.coeffs))
     q_poly = Poly([9, 3, 1]) if n % 3 == 0 else Poly([1, 1, 1])
-    k = next((k for k in range(n - 1, 0, -1) if all((entry % q_poly**k).is_zero for entry in entries)), 0)
+    q_pow = [Poly.const(1)]
+    for _ in range(n - 1):
+        q_pow.append(q_pow[-1] * q_poly)
+    k = next((k for k in range(n - 1, 0, -1) if all((entry % q_pow[k]).is_zero for entry in entries)), 0)
     return d_int, n - 1 - k
 
 
@@ -184,13 +187,10 @@ class TableCheck:
 def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
     """Verify the denominator-exponent table.
 
-    Two layers: per degree, the family-level symbolic denominator must equal
-    3^e * n * Q(t) exactly, except at n = 3 where the trace-matrix
-    determinant is Q(t)^2 on the nose and the true front is 1 (the table
-    value 3^0 * 3 is an upper multiple; this is also why the smallest period
-    there is 1).  Per sampled parameter, the numeric lcm must divide the
-    formula value, with equality away from n = 3; the samples are the first
-    t = 1, 2, ... that the strict gate passes.  Raises ValueError for
+    Per degree, the symbolic denominator must be (front, 1) with front =
+    dual_denominator_front(n); per sampled parameter, the numeric lcm must
+    be front * Q(t) and pass law_ok.  The samples are the first t = 1, 2,
+    ... that the strict gate passes.  Raises ValueError for
     t_samples_per_n < 1, which would check the symbolic layer only.
     """
     if t_samples_per_n < 1:
@@ -198,12 +198,11 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
     entries = []
     failures = []
     for n in n_values:
-        front = 3 ** DUAL_DENOMINATOR_EXPONENT[n] * n
+        front = dual_denominator_front(n)
         sym = symbolic_dual_denominator(n)
-        sym_expected = (1 if n == 3 else front, 1)
-        entries.append((n, "symbolic", sym, sym_expected))
-        if sym != sym_expected or front % sym[0] != 0:
-            failures.append((n, "symbolic", sym, sym_expected))
+        entries.append((n, "symbolic", sym, (front, 1)))
+        if sym != (front, 1):
+            failures.append((n, "symbolic", sym, (front, 1)))
         found = 0
         t = 0
         while found < t_samples_per_n:
@@ -213,10 +212,9 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
                 continue
             found += 1
             db = dual_basis(number_field(n, t))
-            formula = front * disc_quadratic(n, t)
-            expected = formula // 3 if n == 3 else formula
+            expected = front * disc_quadratic(n, t)
             entries.append((n, t, db.denominator, expected))
-            if db.denominator != expected or formula % db.denominator != 0:
+            if db.denominator != expected or not db.law_ok:
                 failures.append((n, t, db.denominator, expected))
     return TableCheck(not failures, tuple(entries), tuple(failures))
 
@@ -330,6 +328,8 @@ def period_scan(
         raise ValueError("no parameter of the range lies in the chosen residue classes")
     slices = [(n, modulus, jobs[i::workers], gate, strategy) for i in range(min(workers, len(jobs)))]
     if len(slices) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
+
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             parts = list(pool.map(_scan_slice, slices))
     else:
@@ -369,16 +369,14 @@ def minimality_witness(n: int, n0: int, scan: PeriodReport) -> dict[int, tuple[i
     out: dict[int, tuple[int, int] | None] = {}
     for p in factorize(n0):
         sub = n0 // p
-        groups: dict[int, list] = {}
+        # every member of a class mod sub seen before the witness shares the
+        # fingerprint of the class's first member, so only that one is kept
+        first: dict[int, tuple[int, Fingerprint]] = {}
         witness = None
         for t, fp in data:
-            bucket = groups.setdefault(t % sub, [])
-            for t0, fp0 in bucket:
-                if fp0 != fp:
-                    witness = (t0, t)
-                    break
-            if witness:
+            t0, fp0 = first.setdefault(t % sub, (t, fp))
+            if fp0 != fp:
+                witness = (t0, t)
                 break
-            bucket.append((t, fp))
         out[p] = witness
     return out

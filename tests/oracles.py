@@ -9,13 +9,16 @@ polynomial products over the power basis instead of the order's
 multiplication table, the shifted minimal polynomial is a Taylor shift by
 the rational parameter, the parameter gate factorizes once per test,
 factorization trial-divides by every prime up to the fixed bound whatever
-the input, and the family dual denominator peels the parameter quadratic
-off an interpolated determinant and every adjugate entry.
+the input, the family dual denominator peels the parameter quadratic
+off an interpolated determinant and every adjugate entry, the family
+polynomial comes from its table of polynomials in m instead of the integer
+pencil, and the minimality witness compares each parameter with every
+earlier member of its class.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
@@ -379,3 +382,55 @@ def peeled_dual_denominator(n: int) -> tuple[int, int]:
             d_int = lcm(d_int, front // gcd(content, front))
             d_qpow = max(d_qpow, n - 1 - k)
     return d_int, d_qpow
+
+
+# The family coefficient table with entries polynomials in m: 1, -m, -m-1, -1, m, m+1.
+FAMILY_TABLE = (Poly([1]), Poly([0, -1]), Poly([-1, -1]), Poly([-1]), Poly([0, 1]), Poly([1, 1]))
+
+
+def table_family_poly(n: int) -> Poly:
+    """Degree-n family polynomial as a binomial-weighted sum over the table of
+    polynomials in m."""
+    return Poly([comb(n, i) * FAMILY_TABLE[(n - i) % 6] for i in range(n + 1)])
+
+
+def table_family_poly_at(n: int, m) -> Poly:
+    """table_family_poly with every coefficient evaluated at the rational m."""
+    mval = Fraction(m)
+    return Poly([c(mval) for c in table_family_poly(n).coeffs])
+
+
+def table_specialize(n: int, t: int) -> Poly:
+    """Integer member at parameter t: m = t, or t/3 when 3 | n, put into each
+    symbolic coefficient c_0 + c_1 * m with its own integrality check."""
+    s = 3 if n % 3 == 0 else 1
+    coeffs = []
+    for c in table_family_poly(n).coeffs:
+        q, r = divmod(c[0] * s + c[1] * t, s)
+        assert r == 0, (n, t)
+        coeffs.append(q)
+    return Poly(coeffs)
+
+
+def nested_minimality_witness(n0: int, scan) -> dict:
+    """minimality_witness by comparing each parameter, in ascending order,
+    with every earlier member of its class modulo n0/p."""
+    if n0 <= 1:
+        return {}
+    data = sorted((t, fp) for members in scan.classes.values() for t, fp in members)
+    out = {}
+    for p in factorize(n0):
+        sub = n0 // p
+        groups: dict[int, list] = {}
+        witness = None
+        for t, fp in data:
+            bucket = groups.setdefault(t % sub, [])
+            for t0, fp0 in bucket:
+                if fp0 != fp:
+                    witness = (t0, t)
+                    break
+            if witness:
+                break
+            bucket.append((t, fp))
+        out[p] = witness
+    return out

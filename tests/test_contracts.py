@@ -3,6 +3,9 @@ the names the benchmark tracer wraps, and caches that never change a result."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from simplestfields.cli import main
@@ -92,3 +95,15 @@ def test_caches_leave_no_trace_in_a_result(capsys):
         docs.append("\n".join(line for line in lines if not line.startswith('  "timing_ms":')))
     assert caches["orders._radical_kernel"].cache_info().hits > 0
     assert docs[0] == docs[1]
+
+
+def test_cli_import_loads_no_process_pool():
+    """Importing the CLI and building its parser leaves the process-pool
+    machinery unloaded: only a scan with workers > 1 imports it."""
+    code = (
+        "import sys, simplestfields.cli as cli; cli.build_parser(); "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

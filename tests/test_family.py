@@ -21,6 +21,8 @@ from simplestfields.family import (
 )
 from simplestfields.poly import Poly, resultant
 
+from oracles import FAMILY_TABLE, table_family_poly, table_family_poly_at, table_specialize
+
 
 def test_coefficient_tables():
     assert family_coeff(1) == Poly([0, -1])  # -m
@@ -46,6 +48,19 @@ def test_coefficient_closed_form():
         for i in range(n + 1):
             assert f[i] == comb(n, i) * family_coeff(n - i)
             assert r[i] == comb(n, i) * companion_coeff(n - i)
+
+
+def test_pencil_matches_the_symbolic_table():
+    """The integer pencil G_n + m * R_n gives the family of the table of
+    polynomials in m, symbolic, at rational m and specialized, for n = 0..30."""
+    assert [family_coeff(i) for i in range(6)] == list(FAMILY_TABLE)
+    for n in range(31):
+        assert family_poly(n) == table_family_poly(n), n
+        for m in (Fraction(-7, 3), Fraction(0), Fraction(5), Fraction(2, 9)):
+            assert family_poly_at(n, m) == table_family_poly_at(n, m), (n, m)
+        if n >= 2:
+            for t in (-101, -3, -1, 0, 1, 2, 6, 1000):
+                assert specialize(n, t).poly == table_specialize(n, t), (n, t)
 
 
 def test_specialize_examples():

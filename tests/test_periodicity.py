@@ -7,7 +7,7 @@ from simplestfields import numberfield, orders, periodicity
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
-from simplestfields.orders import integral_basis, parameter_gate, period_length_bound
+from simplestfields.orders import denominator_bound, integral_basis, parameter_gate, period_length_bound
 from simplestfields.periodicity import (
     DUAL_DENOMINATOR_EXPONENT,
     FINAL_PERIOD_TABLE,
@@ -15,12 +15,13 @@ from simplestfields.periodicity import (
     _inverse_vandermonde,
     check_dual_denominator_table,
     dual_basis,
+    dual_denominator_front,
     minimality_witness,
     period_scan,
     symbolic_dual_denominator,
 )
 
-from oracles import gauss_jordan_inverse, peeled_dual_denominator
+from oracles import gauss_jordan_inverse, nested_minimality_witness, peeled_dual_denominator
 
 
 def test_trace_powers_surface():
@@ -191,6 +192,45 @@ def test_minimality_witness():
         fp.update(dict(members))
     assert fp[t0] != fp[t1]
     assert minimality_witness(3, 1, rep) == {}
+
+
+@pytest.mark.parametrize(
+    "n, modulus, bound", [(2, 4, 50), (2, 2, 50), (4, 24, 60), (5, 75, 100), (6, 36, 60), (8, 216, 300)]
+)
+def test_minimality_witness_matches_nested_oracle(n, modulus, bound):
+    """Keeping only the first member of each class gives the witnesses of
+    comparing with every earlier member, at three candidate periods; the
+    scans at (2, 2) and (8, 216) are inconsistent."""
+    rep = period_scan(n, modulus, range(-bound, bound + 1))
+    assert rep.consistent == (modulus not in (2, 216))
+    for n0 in (modulus, 2 * modulus, 3 * modulus):
+        assert minimality_witness(n, n0, rep) == nested_minimality_witness(n0, rep), n0
+
+
+def test_dual_denominator_front_and_period_bounds():
+    """The front is 3^e * n except 1 at n = 3 and divides the universal
+    denominator bound (the gcd of the two routes); the period bounds are
+    front^n, pinned as first tabulated."""
+    assert PERIOD_BOUND_TABLE == {
+        2: 2**2,
+        3: 1,
+        4: (3 * 4) ** 4,
+        5: (3**3 * 5) ** 5,
+        6: (3**2 * 6) ** 6,
+        7: (3**4 * 7) ** 7,
+        8: (3**5 * 8) ** 8,
+        9: (3**4 * 9) ** 9,
+        10: (3**6 * 10) ** 10,
+        11: (3**9 * 11) ** 11,
+        12: (3**8 * 12) ** 12,
+    }
+    for n in range(2, 13):
+        front = dual_denominator_front(n)
+        assert (3 ** DUAL_DENOMINATOR_EXPONENT[n] * n) // front == (3 if n == 3 else 1)
+        assert denominator_bound(n) % front == 0, n
+    for n in (1, 13):
+        with pytest.raises(ValueError):
+            dual_denominator_front(n)
 
 
 def test_bound_chain():
