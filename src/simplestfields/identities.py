@@ -60,9 +60,12 @@ def consecutive_family_resultant_target(n: int, m: Fraction) -> Fraction:
 
 
 def run_identity_suite(n_max: int, seed: int = 0, trials: int = 20) -> list[IdentityResult]:
-    """Run the full structural-identity suite; each entry is an independent verdict."""
+    """Run the full structural-identity suite; each entry is an independent
+    verdict.  Raises ValueError for n_max < 2 or trials < 0."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     rng = random.Random(seed)
     results: list[IdentityResult] = []
 

@@ -86,18 +86,18 @@ def _char_coeffs(field: NumberField, w):
     """Yield e_1, ..., e_n, the elementary symmetric functions of the
     conjugates of the integer numerator w, one at a time.
 
-    The power sums s_k = Tr(w^k) come from w^k mod f and the cached traces
-    of beta^i; Newton's identities k * e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i
-    then give e_k, and every division by k must be exact.
+    The power sums s_k = Tr(w^k) come from w^k mod f, n - 1 products in
+    all, and the cached traces of beta^i; Newton's identities
+    k * e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i then give e_k, and every
+    division by k must be exact.
     """
     f = list(field.poly.coeffs)
     traces = field_trace_powers(field, field.n - 1)
     w = list(w)
     e = [1]
     s = []
-    power = [1]
     for k in range(1, field.n + 1):
-        power = zx_mulmod(power, w, f)
+        power = w if k == 1 else zx_mulmod(power, w, f)  # w has length n, so it is reduced
         s.append(sum(c * tr for c, tr in zip(power, traces)))
         acc = 0
         for i in range(1, k + 1):

@@ -33,13 +33,21 @@ lattice is a polynomial of degree below n, so n + 1 sample tables and one
 period of the table mod p^2 decide closure and p-maximality for every s.
 A period scan certifies each large enough class with it (see periodicity).
 
-The saturation loop (_saturate) may start from the p-maximal order of
-another parameter instead of Z[beta]; a period scan passes the one it found
-last in the same residue class when it saturates that class member by
-member (a class too small to certify, or one whose certificate fails).
+The saturation loop (_saturate) may start from an order other than
+Z[beta].  It tries, in this order:
+  * the p-maximal order of another parameter: a period scan passes the one
+    it found last in the same residue class when it saturates that class
+    member by member (a class too small to certify, or one whose
+    certificate fails);
+  * under the radical strategy, Ore's lattice from the first-order Newton
+    polygon of f at p (_polygon_start; Montes-Nart, J. Algebra 146, 1992),
+    which is already the p-maximal order when f is p-regular.  Where it
+    exists, that holds at every sampled (n, p) but (10, 2) and (12, 3),
+    where it may be a proper sub-order.  The enumerate strategy keeps
+    Z[beta], so it stays an independent oracle.
 Such a start is a make_order fingerprint (den, HNF) with den a power of p.
 It is used only when the lattice over den contains den * beta^i for every
-i and is closed under all n(n+1)/2 products of its basis rows under the new
+i and is closed under all n(n+1)/2 products of its basis rows under the
 defining polynomial: it is then an order of p-power index over Z[beta], so
 it lies in the p-maximal order.
 Those products are exactly the multiplication table, so an accepted start
@@ -48,7 +56,8 @@ product.  Otherwise saturation starts from Z[beta].  Either way the
 unchanged round loop runs until a round finds nothing to add, so every
 p-maximal order passes the same stopping test (Cohen, GTM 138, 6.1: an
 order is p-maximal iff the multiplier ring of its p-radical is the order
-itself), and the canonical HNF makes the result independent of the start.
+itself), exactness never rests on the polygon theory, and the canonical
+HNF makes the result independent of the start.
 
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
@@ -61,7 +70,7 @@ from functools import lru_cache
 from itertools import product as iter_product, repeat
 from math import comb, gcd, lcm
 
-from ._kernels import hnf_rows, solve_lower_coords, zx_mulmod
+from ._kernels import hnf_rows, solve_lower_coords, zx_mod, zx_mul
 from .family import disc_quadratic, specialize
 from .linalg import left_kernel_mod_p
 from .numberfield import (
@@ -74,6 +83,7 @@ from .numberfield import (
     witness_prime,
 )
 from .numutil import factorize, largest_square_root_divisor, p_adic_valuation, three_free_part
+from .poly import Poly
 
 STRATEGIES = ("enumerate", "radical")
 GATES = ("strict", "relaxed")
@@ -151,21 +161,29 @@ def order_discriminant(o: Order) -> int:
     return q
 
 
-def _mult_table(f, den: int, basis) -> list[int]:
+def _basis_products(basis) -> list[list[int]]:
+    """The products basis_i * basis_j for i <= j, row by row, as polynomials
+    not yet reduced mod any f: the part of a table that is free of f."""
+    n = len(basis)
+    return [zx_mul(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
+
+
+def _mult_table(f, den: int, basis, products=None) -> list[int]:
     """The multiplication table of the lattice whose numerators over den are
     the rows of basis, under the monic polynomial with coefficients f (lowest
     degree first): the coordinates of basis_i * basis_j over the basis for
     i <= j, row by row, in one flat list.
 
     The product of two numerators over den is a numerator over den^2, so its
-    coordinates solve c . (den * basis) = basis_i * basis_j mod f.  Raises
-    ValueError when a product is not in the lattice over den.
+    coordinates solve c . (den * basis) = basis_i * basis_j mod f.  products
+    is _basis_products(basis) when the caller tables one lattice under many
+    polynomials.  Raises ValueError when a product is not in the lattice
+    over den.
     """
-    n = len(basis)
+    if products is None:
+        products = _basis_products(basis)
     scaled = [[den * x for x in row] for row in basis]
-    return [
-        x for i in range(n) for j in range(i, n) for x in solve_lower_coords(scaled, zx_mulmod(basis[i], basis[j], f))
-    ]
+    return [x for product in products for x in solve_lower_coords(scaled, zx_mod(product, f))]
 
 
 def _combine(coeffs, vectors, m: int):
@@ -342,6 +360,41 @@ def _contains_power_basis(den: int, basis) -> bool:
     return True
 
 
+def _polygon_start(field: NumberField, p: int) -> Fingerprint | None:
+    """Ore's first-order lattice at p for phi = X - a, as a start fingerprint
+    (Montes-Nart, "On a theorem of Ore", J. Algebra 146 (1992)), or None
+    unless exactly one a in 0..p-1 has f(a) = f'(a) = 0 mod p.
+
+    With F(Y) = f(Y + a) = sum c_i Y^i and N the lower convex hull of the
+    points (i, v_p(c_i)), c_i != 0, the lattice is spanned by the
+    q_j(beta - a) / p^floor(N(n - j)), j = 0..n-1, where q_j = sum_(i >= n-j)
+    c_i Y^(i-n+j) is the quotient of F by Y^(n-j).  It contains Z[beta] (q_j
+    is monic of degree j) and is the p-maximal order when f is p-regular;
+    otherwise it may be a proper sub-order.  Whether it is an order at all
+    is left to _start_order.
+    """
+    f = field.poly
+    df = f.deriv()
+    roots = [a for a in range(p) if f(a) % p == 0 and df(a) % p == 0]
+    if len(roots) != 1 or f(roots[0]) == 0:  # f(a) = 0 only for a reducible f
+        return None
+    (a,) = roots
+    c = f.shift(a).coeffs
+    n = field.n
+    points = [(i, p_adic_valuation(x, p)) for i, x in enumerate(c) if x]
+    # floor(N(x)): the hull at x is the least chord value over points i <= x <= k
+    ks = [
+        min(u if i == k else (u * (k - x) + w * (x - i)) // (k - i) for i, u in points for k, w in points if i <= x <= k)
+        for x in range(n, 0, -1)
+    ]
+    top = max(ks)
+    rows = []
+    for j in range(n):
+        q = Poly(c[n - j :]).shift(-a).coeffs
+        rows.append([p ** (top - ks[j]) * x for x in q] + [0] * (n - 1 - j))
+    return make_order(field, p**top, rows).fingerprint
+
+
 def _start_order(field: NumberField, start) -> tuple[Order, list[int]] | None:
     """(order, multiplication table cells) for the fingerprint start = (den,
     HNF rows), or None unless the lattice over den contains Z[beta] and is
@@ -395,10 +448,11 @@ def class_certificate(
         raise ValueError(f"the denominator {den} is not a power of {p}")
     if not _contains_power_basis(den, basis):
         return False, "the lattice does not contain Z[beta]"
+    products = _basis_products(basis)
     level = []
     for s in range(n + 1):
         try:
-            level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis))
+            level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
         except ValueError:
             return False, f"the lattice is not closed under products at t={t0 + part * s}"
     diffs = []  # D^0, ..., D^n as table cells
@@ -431,13 +485,18 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     """p_maximal_order for a strategy already known to be valid.
 
     start is None or the fingerprint of a p-maximal order of the same degree
-    (so canonical, with den a power of p); it is saturated from instead of
-    Z[beta] when _start_order accepts it, and its table serves the first
-    radical round.
+    (so canonical, with den a power of p).  Saturation starts from the first
+    of start and, under the radical strategy, _polygon_start(field, p) that
+    _start_order accepts, else from Z[beta]; the accepted table serves the
+    first radical round.  An accepted start is an order but need not be
+    p-maximal: the rounds saturate it further.
     """
     if p_adic_valuation(field.disc, p) < 2:
         return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
     accepted = None if start is None else _start_order(field, start)
+    if accepted is None and strategy == "radical":
+        polygon = _polygon_start(field, p)
+        accepted = None if polygon is None else _start_order(field, polygon)
     order, cells = accepted or (power_order(field), None)
     traces = field_trace_powers(field, 2 * field.n - 2) if strategy == "enumerate" else None
     while True:

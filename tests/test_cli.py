@@ -86,6 +86,7 @@ def test_usage_error_exit_code(capsys):
         (["verify-tables", "--scope", "delta", "--samples", "-2"], 2, "usage-error"),
         (["verify-tables", "--scope", "delta", "--samples", "0"], 2, "usage-error"),
         (["verify-tables", "--scope", "final", "--classes-12", "0"], 2, "usage-error"),
+        (["identities", "--n-max", "2", "--trials", "-1"], 2, "usage-error"),
     ],
 )
 def test_exit_code_and_document(capsys, argv, code, status):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simplestfields import numberfield, orders
 from simplestfields._kernels import zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
@@ -21,6 +22,7 @@ from simplestfields.orders import (
     STRATEGIES,
     _enumerate_round,
     _mult_table,
+    _polygon_start,
     _radical_kernel,
     _radical_round,
     _saturate,
@@ -35,7 +37,7 @@ from simplestfields.orders import (
     period_length_bound,
     power_order,
 )
-from simplestfields.periodicity import FINAL_PERIOD_TABLE, _interpolate_int
+from simplestfields.periodicity import FINAL_PERIOD_TABLE, _interpolate_int, period_scan
 from simplestfields.poly import Poly
 
 from oracles import (
@@ -493,6 +495,80 @@ def test_p_maximal_order_from_start(n, p):
 
 
 GATE_PASSING_T = {n: [t for t in range(-20, 21) if parameter_gate(n, t)[0]] for n in range(2, 13)}
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_polygon_start_is_an_order(monkeypatch, n):
+    """For every candidate prime and sampled t, _start_order accepts the
+    polygon start where there is one, and the radical strategy gives the
+    same p-maximal order with the polygon start switched off."""
+    cases = [(number_field(n, t), p) for t in GATE_PASSING_T[n] for p in candidate_primes(n)]
+    for field, p in cases:
+        start = _polygon_start(field, p)
+        assert start is None or _start_order(field, start) is not None, (n, field.t, p)
+    with_polygon = [p_maximal_order(field, p) for field, p in cases]
+    monkeypatch.setattr(orders, "_polygon_start", lambda field, p: None)
+    assert [p_maximal_order(field, p) for field, p in cases] == with_polygon
+
+
+# (n, p) where the polygon start is the p-maximal order at every sampled t,
+# with the reference: the enumerate strategy on the first four t where it
+# takes well under a second per field, else radical rounds from Z[beta] (the
+# polygon start switched off) on every sampled t.
+POLYGON_MAXIMAL = [(2, 2), (4, 2), (4, 3), (5, 3), (5, 5), (6, 3), (7, 3), (8, 2), (8, 3)]
+POLYGON_MAXIMAL_SLOW_ENUMERATE = [(7, 7), (9, 3), (10, 3), (11, 3), (11, 11)]
+
+
+@pytest.mark.parametrize(
+    "n, p, strategy",
+    [(n, p, "enumerate") for n, p in POLYGON_MAXIMAL] + [(n, p, "radical") for n, p in POLYGON_MAXIMAL_SLOW_ENUMERATE],
+)
+def test_polygon_start_is_the_p_maximal_order(monkeypatch, n, p, strategy):
+    monkeypatch.setattr(orders, "_polygon_start", lambda field, p: None)
+    ts = GATE_PASSING_T[n][:4] if strategy == "enumerate" else GATE_PASSING_T[n]
+    for t in ts:
+        field = number_field(n, t)
+        expected = p_maximal_order(field, p, strategy)
+        assert _polygon_start(field, p) == expected.fingerprint, t
+
+
+def test_polygon_start_is_absent_without_a_single_double_root():
+    """f mod p has no single repeated linear factor at (6, 2), (10, 5) and
+    (12, 2), so there is no first-order start there."""
+    for n, p in ((6, 2), (10, 5), (12, 2)):
+        for t in GATE_PASSING_T[n]:
+            assert _polygon_start(number_field(n, t), p) is None, (n, t)
+
+
+def test_enumerate_never_consults_the_polygon_start(monkeypatch):
+    """The enumerate strategy saturates from Z[beta] or a transported start
+    only, so it stays independent of the polygon theory."""
+
+    def refused(field, p):
+        raise AssertionError("the enumerate strategy consulted the polygon start")
+
+    monkeypatch.setattr(orders, "_polygon_start", refused)
+    for n, t, p in ((4, 3, 2), (8, 5, 2), (8, 5, 3)):
+        p_maximal_order(number_field(n, t), p, "enumerate")
+    period_scan(4, 24, range(-40, 41), strategy="enumerate")
+
+
+def test_integrality_test_takes_n_minus_one_products(monkeypatch):
+    """A full integrality test forms w^2, ..., w^n mod f: w itself is
+    already reduced."""
+    products = [0]
+    real = numberfield.zx_mulmod
+
+    def counted(*args):
+        products[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(numberfield, "zx_mulmod", counted)
+    for n in range(2, 13):
+        field = number_field(n, GATE_PASSING_T[n][0])
+        products[0] = 0
+        assert is_algebraic_integer(field_elt(field, range(1, n + 1)))
+        assert products[0] == n - 1, n
 
 
 @settings(max_examples=50, deadline=None)

@@ -318,11 +318,12 @@ def test_period_scan_fingerprints_match_scratch(n, modulus, bound):
 
 
 def test_period_scan_reuses_orders(monkeypatch):
-    """The scan runs fewer radical rounds than computing every field from
-    Z[beta]: a start that is always rejected would not.  At (6, 36) the
-    class certificates alone would do; the n = 12 scan of the classes 0..11
-    mod 1944 makes no certificate (every 3-adic class is too small), so
-    there the transported starts do it (156 rounds against 454)."""
+    """The scan runs fewer radical rounds than computing every field on its
+    own: a transported start that is always rejected would not.  At (6, 36)
+    the class certificates alone would do; the n = 12 scan of the classes
+    0..11 mod 1944 makes no certificate (every 3-adic class is too small), so
+    there the transported starts do it (100 rounds against 188; the polygon
+    start, which both sides use, is a proper sub-order at n = 12, p = 3)."""
     rounds = [0]
     real = orders._radical_round
 
@@ -373,6 +374,29 @@ def test_period_scan_reuses_radical_kernels(monkeypatch):
             assert fp == integral_basis(number_field(8, t)).fingerprint, t
 
 
+def test_scan8_first_members_take_one_round(monkeypatch):
+    """On the inputs of the scan8 benchmark, period_scan(8, 432, |t| <= 500),
+    the polygon start is already p-maximal wherever a saturation starts
+    without a transported start, so every saturation of the scan, 43 in all,
+    takes exactly one radical round: the stopping one (219 rounds from
+    Z[beta])."""
+    rounds, saturations = [0], [0]
+    real_round, real_saturate = orders._radical_round, periodicity._saturate
+
+    def counted_round(*args):
+        rounds[0] += 1
+        return real_round(*args)
+
+    def counted_saturate(*args):
+        saturations[0] += 1
+        return real_saturate(*args)
+
+    monkeypatch.setattr(orders, "_radical_round", counted_round)
+    monkeypatch.setattr(periodicity, "_saturate", counted_saturate)
+    period_scan(8, 432, range(-500, 501))
+    assert rounds[0] == saturations[0] == 43
+
+
 def test_period_scan_enumerate_matches_radical():
     """The enumerate strategy never certifies; its members saturate one at a
     time, each from the last order of its class, and the report equals the
@@ -383,15 +407,22 @@ def test_period_scan_enumerate_matches_radical():
 
 def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
     """At modulus 1 every class would share one start per prime, which mostly
-    fails the checks, so the scan saturates from Z[beta] without trying it.
-    At modulus 4 the classes of |t| <= 11 have at most n = 6 members, too few
-    to certify, so each member saturates from the start of its class."""
-    tried = []
-    monkeypatch.setattr(orders, "_start_order", lambda field, start: tried.append(field.t))
+    fails the checks, so the scan passes no start to _saturate.  At modulus 4
+    the classes of |t| <= 11 have at most n = 6 members, too few to certify,
+    so each member saturates from the start of its class."""
+    starts = []
+    real = periodicity._saturate
+
+    def recorded(field, p, strategy, start=None):
+        starts.append(start)
+        return real(field, p, strategy, start)
+
+    monkeypatch.setattr(periodicity, "_saturate", recorded)
     period_scan(6, 1, range(-30, 31))
-    assert tried == []
+    assert starts and all(start is None for start in starts)
+    starts.clear()
     period_scan(6, 4, range(-11, 12))
-    assert tried
+    assert any(start is not None for start in starts)
 
 
 def _class_members(n, p, part, r, count, gate="strict"):
@@ -463,6 +494,26 @@ def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
         in_order = [key for _, key in keys]
         assert checked == in_order[: len(checked)] and set(checked) == set(in_order)
         assert len(checked) >= sum(1 for s, _ in keys if s < p * p)
+
+
+def test_class_certificate_forms_the_products_once(monkeypatch):
+    """The products basis_i * basis_j are free of the parameter: a
+    certificate forms the n(n+1)/2 of them once, not once per sample table,
+    and reduces them mod each sample's polynomial."""
+    products = [0]
+    real = orders.zx_mul
+
+    def counted(a, b):
+        products[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(orders, "zx_mul", counted)
+    n, p, part = 8, 3, 27
+    t0 = _class_members(n, p, part, 1, 1)[0]
+    fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+    products[0] = 0
+    assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
+    assert products[0] == n * (n + 1) // 2
 
 
 def test_class_certificate_period_counts_the_log_term(monkeypatch):
