@@ -6,12 +6,15 @@ all integers are serialized as decimal strings and rationals as
 and document statuses: 0 "ok", 1 "fail" (verification failure), 2
 "usage-error" (an argument the library rejects with ValueError; argparse
 rejects malformed command lines with exit 2 before any document), 3
-"not-covered" (parameter outside the certified hypotheses).
+"not-covered" (parameter outside the certified hypotheses), and 4 when the
+reader closes stdout before the whole document is written (no traceback;
+the rest of the document is discarded).
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NOT_COVERED = 3
+EXIT_OUTPUT_CLOSED = 4
 
 
 def _jsonable(x):
@@ -73,7 +77,7 @@ def _emit(args, status: str, started: float, **fields) -> None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed stdout raises here, not at interpreter exit
 
 
 def cmd_family(args, started: float) -> int:
@@ -306,13 +310,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        return args.func(args, started)
-    except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
-        _emit(args, "not-covered", started, error=str(exc))
-        return EXIT_NOT_COVERED
-    except ValueError as exc:
-        _emit(args, "usage-error", started, error=str(exc))
-        return EXIT_USAGE
+        try:
+            return args.func(args, started)
+        except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
+            _emit(args, "not-covered", started, error=str(exc))
+            return EXIT_NOT_COVERED
+        except ValueError as exc:
+            _emit(args, "usage-error", started, error=str(exc))
+            return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # interpreter's last flush of stdout fails neither.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -29,9 +29,11 @@ way.
 
 class_certificate proves one p-maximal order for a whole residue class of
 parameters t = t0 + part * s: along s every cell of the table of a fixed
-lattice is a polynomial of degree below n, so n + 1 sample tables and one
-period of the table mod p^2 decide closure and p-maximality for every s.
-A period scan certifies each large enough class with it (see periodicity).
+lattice with den = p^a is a polynomial of degree below n, and mod p^2 of
+degree at most d = ceil((2a + 2) / v_p(part)) - 1 when that is smaller, so
+d + 2 sample tables and one period of the table mod p^2 decide closure and
+p-maximality for every s.  A period scan certifies each large enough class
+with it (see periodicity).
 
 The saturation loop (_saturate) may start from an order other than
 Z[beta].  It tries, in this order:
@@ -416,54 +418,68 @@ def class_certificate(
     passes.  Returns (ok, reason).
 
     f_t = g + t * h is monic with integer coefficients.  For the fixed
-    lattice L, a product basis_i * basis_j is free of t, reducing X^(n+j)
-    mod f_t raises the t-degree by at most j + 1 <= n - 1, and the solve
-    against den * HNF is free of t.  So each coordinate of the table T(s) of
-    L under f_(t0 + part*s) is a polynomial in s of degree <= n - 1:
-    T(s) = sum_(k < n) C(s, k) D^k, D^k the k-th forward difference at 0.
-      * Order: _mult_table raises unless the tables at s = 0..n-1 are
-        integral, and then every D^k is integral, so L is closed under
-        products for every s; D^n = 0 at s = n confirms the degree bound.
-        L contains Z[beta] (free of t) with p-power index (den = p^k).
+    lattice L, a product basis_i * basis_j is free of t, and its remainder
+    P(t) mod f_t lies in Z[t]^n with degree <= n - 1 in t (reducing X^(n+j)
+    raises the t-degree by at most j + 1).  The table cell solves
+    c . (den * HNF) = P(t); those rows span den^2 L, which contains
+    den^2 Z^n = p^(2a) Z^n (L contains Z[beta], den = p^a), so c = P(t) M
+    with M in p^(-2a) Z^(n x n), free of t.  The Taylor coefficients P_m of P
+    at t0 are integral, so with v = v_p(part) the term of s^m in
+    T(s) = sum_m part^m s^m P_m M lies in p^(mv - 2a) Z^n, and every term
+    with mv >= 2a + 2 vanishes mod p^2.  Hence T(s) = g(s) mod p^2 at every
+    integer s, where g is the sum of the terms m <= d, d = min(n - 1,
+    ceil((2a + 2) / v) - 1) (d = n - 1 when v = 0), a polynomial of degree
+    <= d that is integral exactly where T(s) is.  Write D^k for the k-th
+    forward difference of T at 0; it agrees with that of g mod p^2.
+      * Order: _mult_table raises unless the tables at s = 0..d are
+        integral; then g has integral differences, so g(s) and T(s) are
+        integral and L is closed under products for every s.  D^(d+1) = 0
+        mod p^2 at s = d + 1 confirms the bound (exactly 0 when d = n - 1,
+        the degree of T itself).  L contains Z[beta] (free of t) with p-power
+        index.
       * p-maximal: the stopping test reads only T mod p^2 (_radical_kernel
-        is empty iff the order is p-maximal; Cohen, GTM 138, 6.1).  Since
-        v_p C(p^a, j) = a - v_p(j) >= 2 for 1 <= j <= k when
-        a = 2 + floor(log_p k), Vandermonde's identity makes C(s, k) mod p^2
-        periodic with period p^a, so T(s) mod p^2 has period
-        P = p^(2 + floor(log_p K)), K <= n - 1 the largest k with
-        D^k != 0 mod p^2 (K = 1 if none).  One period of s is checked,
-        skipping only the s where the gate in force rejects p^2 | Q(t)
-        (strict: every such s; relaxed: only for p != 3).  Q(t) mod p^2
-        has period p^2, which divides P, so every gate-passing t of the
-        class lands on a checked s.
+        is empty iff the order is p-maximal; Cohen, GTM 138, 6.1), and
+        T(s) = sum_(k <= d) C(s, k) D^k mod p^2.  Since v_p C(p^e, j) =
+        e - v_p(j) >= 2 for 1 <= j <= k when e = 2 + floor(log_p k),
+        Vandermonde's identity makes C(s, k) mod p^2 periodic with period
+        p^e, so T(s) mod p^2 has period P = p^(2 + floor(log_p K)), K <= d
+        the largest k with D^k != 0 mod p^2 (K = 1 if none).  One period of
+        s is checked, skipping only the s where the gate in force rejects
+        p^2 | Q(t) (strict: every such s; relaxed: only for p != 3).  Q(t)
+        mod p^2 has period p^2, which divides P, so every gate-passing t of
+        the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
-    the one saturation finds.  The sample tables come from specialize (no
-    field is built or cached) and none is kept.  Raises ValueError for an
-    unknown gate or a den that is not a power of p.
+    the one saturation finds.  The d + 2 sample tables come from specialize
+    (no field is built or cached) and none is kept.  Raises ValueError for
+    an unknown gate, part = 0 or a den that is not a power of p.
     """
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     den, basis = fingerprint
-    if den != p ** p_adic_valuation(den, p):
+    a = p_adic_valuation(den, p)
+    if den != p**a:
         raise ValueError(f"the denominator {den} is not a power of {p}")
     if not _contains_power_basis(den, basis):
         return False, "the lattice does not contain Z[beta]"
+    v = p_adic_valuation(part, p)
+    d = n - 1 if v == 0 else min(n - 1, -(-(2 * a + 2) // v) - 1)
     products = _basis_products(basis)
     level = []
-    for s in range(n + 1):
+    for s in range(d + 2):
         try:
             level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
         except ValueError:
             return False, f"the lattice is not closed under products at t={t0 + part * s}"
-    diffs = []  # D^0, ..., D^n as table cells
+    diffs = []  # D^0, ..., D^(d+1) as table cells
     while level:
         diffs.append(level[0])
-        level = [[b - a for a, b in zip(u, v)] for u, v in zip(level, level[1:])]
-    if any(diffs[n]):
-        raise AssertionError(f"the table is not of degree below {n} in the parameter")
+        level = [[y - x for x, y in zip(u, w)] for u, w in zip(level, level[1:])]
     pp = p * p
-    diffs = [[x % pp for x in d] for d in diffs[:n]]
-    top = max((k for k in range(1, n) if any(diffs[k])), default=1)
+    exact = d == n - 1  # then d is the degree bound of T itself
+    if any(x if exact else x % pp for x in diffs[d + 1]):
+        raise AssertionError(f"the table is not of degree {d} in the parameter" + ("" if exact else f" mod {pp}"))
+    diffs = [[x % pp for x in c] for c in diffs]  # D^(d+1) = 0 mod p^2 stays, for top = 1 when d = 0
+    top = max((k for k in range(1, d + 1) if any(diffs[k])), default=1)
     period = pp
     while period * p <= pp * top:
         period *= p
@@ -475,7 +491,7 @@ def class_certificate(
         for k in range(1, top + 1):
             c = comb(s, k) % pp
             if c:
-                cells = [a + c * b for a, b in zip(cells, diffs[k])]
+                cells = [x + c * y for x, y in zip(cells, diffs[k])]
         if _radical_kernel(p, n, _table_key(p, cells)):
             return False, f"the lattice is not {p}-maximal at t={t}"
     return True, "ok"

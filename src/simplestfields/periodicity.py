@@ -225,11 +225,13 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     Each t passes the gate right before its field is built, so Q(t) is
     factored once per parameter, in a pool worker too; a rejected t goes to
     skipped with the gate's reason.  For each prime p, with p^v the p-part
-    of the modulus, a class of t mod p^v with more than n members in ts (a
-    certificate samples n + 1 tables) is saturated at its first gate-passing
-    member and, under the radical strategy, certified there; its later
-    members take that order.  Other classes are saturated member by member,
-    from the last p-maximal order with den > 1 of the class when p^v > 1.
+    of the modulus, a class of t mod p^v with more than n members in ts is
+    saturated at its first gate-passing member and, under the radical
+    strategy, certified there; its later members take that order.  A
+    certificate builds d + 2 <= n + 1 sample tables, fewer as v grows (see
+    orders.class_certificate); the threshold stays at n members whatever d
+    is.  Other classes are saturated member by member, from the last
+    p-maximal order with den > 1 of the class when p^v > 1.
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
     already checked the gate and strategy names.
     """

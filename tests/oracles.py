@@ -12,8 +12,11 @@ factorization trial-divides by every prime up to the fixed bound whatever
 the input, the family dual denominator peels the parameter quadratic
 off an interpolated determinant and every adjugate entry, the family
 polynomial comes from its table of polynomials in m instead of the integer
-pencil, and the minimality witness compares each parameter with every
-earlier member of its class.
+pencil, the minimality witness compares each parameter with every
+earlier member of its class, the class certificate interpolates every table
+cell to its full degree n - 1 in the class step from n + 1 sample tables,
+and the field discriminant is a resultant per field instead of the closed
+form proved once per degree.
 """
 
 from fractions import Fraction
@@ -30,11 +33,19 @@ from simplestfields.numutil import (
     _sieve,
     factorize,
     is_prime,
+    p_adic_valuation,
     three_free_part,
 )
-from simplestfields.orders import make_order
+from simplestfields.orders import (
+    _basis_products,
+    _contains_power_basis,
+    _mult_table,
+    _radical_kernel,
+    _table_key,
+    make_order,
+)
 from simplestfields.periodicity import _interpolate_int, _trace_matrix
-from simplestfields.poly import Poly
+from simplestfields.poly import Poly, discriminant
 
 
 def sylvester_resultant(a: list[int], b: list[int]) -> int:
@@ -434,3 +445,62 @@ def nested_minimality_witness(n0: int, scan) -> dict:
             bucket.append((t, fp))
         out[p] = witness
     return out
+
+
+def _forward_differences(level: list[list[int]]) -> list[list[int]]:
+    """The forward differences D^0, D^1, ... at the first sample of the
+    cell vectors level, one per sample."""
+    diffs = []
+    while level:
+        diffs.append(level[0])
+        level = [[y - x for x, y in zip(u, w)] for u, w in zip(level, level[1:])]
+    return diffs
+
+
+def full_degree_class_certificate(n: int, p: int, part: int, t0: int, fingerprint) -> tuple[bool, str]:
+    """orders.class_certificate under the strict gate, from n + 1 sample
+    tables: every table cell is a polynomial of degree <= n - 1 in s along
+    t = t0 + part * s, so the tables at s = 0..n give its forward
+    differences D^0..D^(n-1) exactly and D^n = 0 checks the degree.  The
+    tables mod p^2 over one period of s then decide p-maximality."""
+    den, basis = fingerprint
+    assert den == p ** p_adic_valuation(den, p)
+    if not _contains_power_basis(den, basis):
+        return False, "the lattice does not contain Z[beta]"
+    products = _basis_products(basis)
+    level = []
+    for s in range(n + 1):
+        try:
+            level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
+        except ValueError:
+            return False, f"the lattice is not closed under products at t={t0 + part * s}"
+    diffs = _forward_differences(level)
+    assert not any(diffs[n])
+    pp = p * p
+    diffs = [[x % pp for x in c] for c in diffs[:n]]
+    top = max((k for k in range(1, n) if any(diffs[k])), default=1)
+    period = pp
+    while period * p <= pp * top:
+        period *= p
+    for s in range(period):
+        t = t0 + part * s
+        if disc_quadratic(n, t) % pp == 0:
+            continue
+        cells = [sum(comb(s, k) * c[i] for k, c in enumerate(diffs[: top + 1])) for i in range(len(diffs[0]))]
+        if _radical_kernel(p, n, _table_key(p, cells)):
+            return False, f"the lattice is not {p}-maximal at t={t}"
+    return True, "ok"
+
+
+def full_degree_differences(n: int, t0: int, part: int, fingerprint) -> list[list[int]]:
+    """The exact forward differences D^0..D^n at s = 0 of the table of the
+    lattice fingerprint along t = t0 + part * s, from the tables at
+    s = 0..n (ValueError when one is not integral)."""
+    den, basis = fingerprint
+    return _forward_differences([_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis) for s in range(n + 1)])
+
+
+def resultant_field_discriminant(n: int, t: int) -> int:
+    """The discriminant of the family member at t, by one subresultant-PRS
+    resultant for this one field."""
+    return discriminant(specialize(n, t).poly)

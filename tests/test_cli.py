@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from simplestfields.cli import main
+from simplestfields.cli import EXIT_OUTPUT_CLOSED, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, argv):
@@ -230,3 +236,23 @@ def test_cli_contract_on_small_arguments(capsys, argv):
         assert _fields_checked(doc) >= 1
         if argv[0] == "verify-tables":  # the symbolic entry and every sample, per degree
             assert _fields_checked(doc) == 11 * (1 + int(argv[-1]))
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A reader that takes 10 bytes of a 294 KB period-scan document and
+    closes the pipe, as `| head -c 10` does, ends the CLI with exit code 4
+    and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["period-scan", "--n", "4", "--modulus", "24", "--t-min", "-300", "--t-max", "300"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplestfields.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OUTPUT_CLOSED == 4
+    assert head == b'{\n  "schem' and err == b""

@@ -47,6 +47,7 @@ from oracles import (
     power_basis_radical_round,
     quadratic_maximal_fingerprint,
     resultant_char_poly,
+    resultant_field_discriminant,
     two_factorization_parameter_gate,
 )
 
@@ -123,6 +124,50 @@ def test_field_certificate_against_fraction_shift_and_two_factorization_gate():
             assert want is None or is_eisenstein(shifted, want)
             for gate in ("strict", "relaxed"):
                 assert parameter_gate(n, t, gate) == two_factorization_parameter_gate(n, t, gate), (n, t, gate)
+
+
+def test_number_field_discriminant_matches_per_field_resultant():
+    """The closed-form discriminant a field carries is the resultant
+    discriminant of its own polynomial, field by field."""
+    for n in range(2, 13):
+        for t in range(-40, 41):
+            assert number_field(n, t).disc == resultant_field_discriminant(n, t), (n, t)
+
+
+def test_discriminant_law_is_proved_once_per_degree(monkeypatch):
+    """Building fields of one degree takes the 2n - 1 resultants of the proof
+    once, whatever the number of fields, and none per field."""
+    resultants = []
+    real = numberfield.discriminant
+
+    def counted(f):
+        resultants.append(f.degree)
+        return real(f)
+
+    monkeypatch.setattr(numberfield, "discriminant", counted)
+    numberfield._discriminant_law.cache_clear()
+    numberfield.number_field.cache_clear()
+    for n in (5, 8):
+        for t in range(-30, 31):
+            number_field(n, t)
+    assert resultants == [5] * 9 + [8] * 15
+
+
+@pytest.mark.parametrize("n", [2, 6, 7])
+def test_discriminant_law_rejects_a_closed_form_wrong_at_one_point(monkeypatch, n):
+    """A closed form that is off at one of the 2n - 1 proof points fails the
+    proof, and then no field of that degree is built."""
+    real = numberfield.discriminant_formula_t
+    monkeypatch.setattr(numberfield, "discriminant_formula_t", lambda n_, t: real(n_, t) + (t == n))
+    numberfield._discriminant_law.cache_clear()
+    numberfield.number_field.cache_clear()
+    with pytest.raises(AssertionError, match=f"discriminant mismatch at n={n}, t={n}"):
+        numberfield._discriminant_law(n)
+    with pytest.raises(AssertionError):
+        number_field(n, 100)
+    monkeypatch.undo()
+    numberfield._discriminant_law.cache_clear()
+    assert number_field(n, 100).disc == real(n, 100)
 
 
 def test_trace_powers_against_companion_matrix_oracle():

@@ -21,7 +21,13 @@ from simplestfields.periodicity import (
     symbolic_dual_denominator,
 )
 
-from oracles import gauss_jordan_inverse, nested_minimality_witness, peeled_dual_denominator
+from oracles import (
+    full_degree_class_certificate,
+    full_degree_differences,
+    gauss_jordan_inverse,
+    nested_minimality_witness,
+    peeled_dual_denominator,
+)
 
 
 def test_trace_powers_surface():
@@ -443,8 +449,8 @@ N12_P3_CLASSES = tuple(r for r in range(27) if r % 3)
 def test_class_certificate_covers_final_period_table(n, p):
     """Every class modulo the p-part of the verified period that holds a
     gate-passing t certifies at its first such t; the certified order is the
-    p-maximal order at members past the n + 1 sampled parameters.  A class
-    with no gate-passing t has p^2 | Q(t) at all its members."""
+    p-maximal order at members past the sampled parameters.  A class with no
+    gate-passing t has p^2 | Q(t) at all its members."""
     part = p ** p_adic_valuation(FINAL_PERIOD_TABLE[n], p)
     classes = N12_P3_CLASSES if (n, p) == (12, 3) else range(part)
     populated = 0
@@ -514,6 +520,71 @@ def test_class_certificate_forms_the_products_once(monkeypatch):
     products[0] = 0
     assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
     assert products[0] == n * (n + 1) // 2
+
+
+def test_class_certificate_matches_the_full_degree_oracle():
+    """The certificate from d + 2 sample tables returns the (ok, reason) of the
+    one that interpolates every cell to degree n - 1 from n + 1 tables, for
+    n = 2..12, every candidate prime p and every class mod part = p^v,
+    v = 0..3, part <= 27.  Each class is tried at its first gate-passing t0
+    with its own p-maximal order there and with up to 4 other lattices: the
+    distinct orders of the next classes, which mostly fail to certify."""
+    checked = failed = 0
+    for n in range(2, 13):
+        for p in orders.candidate_primes(n):
+            for part in (p**v for v in range(4) if p**v <= 27):
+                lattices = []
+                for r in range(part):
+                    members = _class_members(n, p, part, r, 1)
+                    if members:
+                        lattices.append((members[0], orders.p_maximal_order(number_field(n, members[0]), p).fingerprint))
+                for i, (t0, own) in enumerate(lattices):
+                    tried = [own]
+                    for _, fp in lattices[i + 1 :] + lattices[:i]:
+                        if len(tried) < 5 and fp not in tried:
+                            tried.append(fp)
+                    for fp in tried:
+                        got = orders.class_certificate(n, p, part, t0, fp)
+                        assert got == full_degree_class_certificate(n, p, part, t0, fp), (n, p, part, t0, fp)
+                        checked += 1
+                        failed += not got[0]
+    assert checked > 1500 and 1000 < failed < checked
+
+
+def test_certificate_sample_bound_is_attained():
+    """At n = 4, p = 2, part = 16, t0 = -320 the 2-maximal order has den = 4,
+    so a = 2, v = 4 and d = ceil((2a + 2) / v) - 1 = 1: the exact first
+    difference of the table is not 0 mod p^2, so no smaller d would do, and
+    the differences past d are."""
+    n, p, part, t0 = 4, 2, 16, -320
+    fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+    assert fp[0] == 4
+    diffs = full_degree_differences(n, t0, part, fp)
+    assert any(x % 4 for x in diffs[1])
+    assert not any(x % 4 for d in diffs[2:] for x in d)
+    assert orders.class_certificate(n, p, part, t0, fp) == full_degree_class_certificate(n, p, part, t0, fp) == (True, "ok")
+
+
+def test_class_certificate_builds_d_plus_two_tables(monkeypatch):
+    """At n = 8, p = 3, part = 27 the 3-maximal order has den = 27 (a = 3,
+    v = 3), so d = ceil(8 / 3) - 1 = 2 and a certificate builds d + 2 = 4
+    tables, not n + 1 = 9."""
+    tables = [0]
+    real = orders._mult_table
+
+    def counted(*args):
+        tables[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orders, "_mult_table", counted)
+    n, p, part = 8, 3, 27
+    for r in (1, 2, 4):
+        t0 = _class_members(n, p, part, r, 1)[0]
+        fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+        assert fp[0] == 27
+        tables[0] = 0
+        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
+        assert tables[0] == 4
 
 
 def test_class_certificate_period_counts_the_log_term(monkeypatch):
