@@ -4,11 +4,12 @@ Every subcommand emits a single JSON document (schema "simplest-fields/1"):
 all integers are serialized as decimal strings and rationals as
 {"num": ..., "den": ...} objects so consumers never overflow.  Exit codes
 and document statuses: 0 "ok", 1 "fail" (verification failure), 2
-"usage-error" (an argument the library rejects with ValueError; argparse
-rejects malformed command lines with exit 2 before any document), 3
-"not-covered" (parameter outside the certified hypotheses), and 4 when the
-reader closes stdout before the whole document is written (no traceback;
-the rest of the document is discarded).
+"usage-error" (an argument the library rejects with ValueError, or an
+--out path that cannot be written, whose document then goes to stdout;
+argparse rejects malformed command lines with exit 2 before any document),
+3 "not-covered" (parameter outside the certified hypotheses), and 4 when
+the reader closes stdout before the whole document is written (no
+traceback; the rest of the document is discarded).
 """
 
 import argparse
@@ -34,10 +35,8 @@ from .periodicity import (
 
 SCHEMA = "simplest-fields/1"
 
-EXIT_OK = 0
-EXIT_VERIFICATION_FAILURE = 1
-EXIT_USAGE = 2
-EXIT_NOT_COVERED = 3
+# the exit code of each document status
+EXIT_CODES = {"ok": 0, "fail": 1, "usage-error": 2, "not-covered": 3}
 EXIT_OUTPUT_CLOSED = 4
 
 
@@ -62,9 +61,9 @@ def _command(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
 
 
-def _emit(args, status: str, started: float, **fields) -> None:
-    """Write the document for one outcome: a `result` on ok and fail, an
-    `error` message on usage-error and not-covered."""
+def _document(args, status: str, started: float, **fields) -> str:
+    """The document for one outcome: a `result` on ok and fail, an `error`
+    message on usage-error and not-covered."""
     doc = {
         "schema": SCHEMA,
         "command": _jsonable(_command(args)),
@@ -72,15 +71,10 @@ def _emit(args, status: str, started: float, **fields) -> None:
         **{k: _jsonable(v) for k, v in fields.items()},
         "timing_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    text = json.dumps(doc, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, flush=True)  # a closed stdout raises here, not at interpreter exit
+    return json.dumps(doc, indent=2)
 
 
-def cmd_family(args, started: float) -> int:
+def cmd_family(args) -> tuple[str, dict]:
     if args.symbolic or args.t is None:
         fam = family_poly(args.n)
         result = {
@@ -94,11 +88,10 @@ def cmd_family(args, started: float) -> int:
             "family_coeffs": list(sp.poly.coeffs),
             "companion_coeffs": list(companion_poly(args.n).coeffs),
         }
-    _emit(args, "ok", started, result=result)
-    return EXIT_OK
+    return "ok", result
 
 
-def cmd_identities(args, started: float) -> int:
+def cmd_identities(args) -> tuple[str, dict]:
     results = run_identity_suite(args.n_max, seed=args.seed, trials=args.trials)
     failures = [r for r in results if not r.ok]
     result = {
@@ -106,8 +99,7 @@ def cmd_identities(args, started: float) -> int:
         "failures": [{"name": r.name, "detail": r.detail} for r in failures],
         "items": [{"name": r.name, "ok": r.ok} for r in results],
     }
-    _emit(args, "ok" if not failures else "fail", started, result=result)
-    return EXIT_OK if not failures else EXIT_VERIFICATION_FAILURE
+    return "ok" if not failures else "fail", result
 
 
 def _order_payload(o) -> dict:
@@ -119,7 +111,7 @@ def _order_payload(o) -> dict:
     }
 
 
-def cmd_integral_basis(args, started: float) -> int:
+def cmd_integral_basis(args) -> tuple[str, dict]:
     field = number_field(args.n, args.t)
     strategies = ["enumerate", "radical"] if args.strategy == "both" else [args.strategy]
     orders = {s: integral_basis(field, strategy=s, gate=args.gate) for s in strategies}
@@ -131,20 +123,17 @@ def cmd_integral_basis(args, started: float) -> int:
         "orders": {s: _order_payload(o) for s, o in orders.items()},
         "strategies_agree": agree,
     }
-    _emit(args, "ok" if agree else "fail", started, result=result)
-    return EXIT_OK if agree else EXIT_VERIFICATION_FAILURE
+    return "ok" if agree else "fail", result
 
 
-def cmd_dual_basis(args, started: float) -> int:
+def cmd_dual_basis(args) -> tuple[str, dict]:
     db = dual_basis(number_field(args.n, args.t))
     result = {
         "matrix": [list(row) for row in db.matrix],
         "denominator": db.denominator,
         "denominator_law_ok": db.law_ok,
     }
-    ok = db.law_ok is not False
-    _emit(args, "ok" if ok else "fail", started, result=result)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
+    return "ok" if db.law_ok is not False else "fail", result
 
 
 def _scan_payload(report) -> dict:
@@ -162,7 +151,7 @@ def _scan_payload(report) -> dict:
     }
 
 
-def cmd_period_scan(args, started: float) -> int:
+def cmd_period_scan(args) -> tuple[str, dict]:
     report = period_scan(
         args.n,
         args.modulus,
@@ -176,11 +165,10 @@ def cmd_period_scan(args, started: float) -> int:
     if args.modulus > 1:
         witnesses = minimality_witness(args.n, args.modulus, report)
         payload["minimality_witnesses"] = {str(p): list(w) if w else None for p, w in witnesses.items()}
-    _emit(args, "ok" if report.consistent else "fail", started, result=payload)
-    return EXIT_OK if report.consistent else EXIT_VERIFICATION_FAILURE
+    return "ok" if report.consistent else "fail", payload
 
 
-def cmd_verify_tables(args, started: float) -> int:
+def cmd_verify_tables(args) -> tuple[str, dict]:
     result: dict = {}
     ok = True
     if args.scope in ("final", "all") and args.classes_12 < 1:
@@ -240,8 +228,7 @@ def cmd_verify_tables(args, started: float) -> int:
             ok = ok and report.consistent
         result["final_period_table"] = scans
 
-    _emit(args, "ok" if ok else "fail", started, result=result)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILURE
+    return "ok" if ok else "fail", result
 
 
 @functools.cache
@@ -306,24 +293,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        status, result = args.func(args)
+        fields = {"result": result}
+    except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
+        status, fields = "not-covered", {"error": str(exc)}
+    except ValueError as exc:
+        status, fields = "usage-error", {"error": str(exc)}
+    text = _document(args, status, started, **fields)
+    if args.out:
         try:
-            return args.func(args, started)
-        except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
-            _emit(args, "not-covered", started, error=str(exc))
-            return EXIT_NOT_COVERED
-        except ValueError as exc:
-            _emit(args, "usage-error", started, error=str(exc))
-            return EXIT_USAGE
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+            return EXIT_CODES[status]
+        except OSError as exc:
+            status = "usage-error"
+            text = _document(args, status, started, error=f"cannot write --out {args.out}: {exc.strerror}")
+    try:
+        print(text, flush=True)  # a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:
         # The reader is gone: send what is still buffered to devnull, so the
         # interpreter's last flush of stdout fails neither.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OUTPUT_CLOSED
-
+    return EXIT_CODES[status]
 
 if __name__ == "__main__":
     sys.exit(main())

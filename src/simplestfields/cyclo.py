@@ -65,10 +65,6 @@ class CycloRing:
     def one(self) -> "CycloElt":
         return CycloElt(self, (Fraction(1),))
 
-    @property
-    def gen(self) -> "CycloElt":
-        return self.element([0, 1])
-
     def __repr__(self) -> str:
         return f"CycloRing({self.n})"
 
@@ -165,14 +161,6 @@ class CycloElt:
             base = base * base
             k >>= 1
         return result
-
-    def multiplicative_order(self, bound: int = 10_000) -> int:
-        acc = self
-        for k in range(1, bound + 1):
-            if acc == 1:
-                return k
-            acc = acc * self
-        raise ValueError("order exceeds bound")
 
     def __repr__(self) -> str:
         return f"CycloElt({self.ring.n}, {list(self.coeffs)})"

@@ -9,6 +9,7 @@ anywhere).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .cyclo import CycloRing, embed_root, sqrt_minus_three
@@ -56,9 +57,17 @@ def family_poly_at(n: int, m) -> Poly:
     return Poly([g + r * mval for g, r in _pencil(n)])
 
 
-def disc_quadratic(n: int, t: int) -> int:
-    """The quadratic in t carried by the discriminant: t^2+t+1, or t^2+3t+9 when 3 | n."""
-    return t * t + 3 * t + 9 if n % 3 == 0 else t * t + t + 1
+def parameter_scale(n: int) -> int:
+    """The scale s of the integer parameter: the family member at t is F_n at
+    m = t/s, with s = 3 when 3 | n and s = 1 otherwise."""
+    return 3 if n % 3 == 0 else 1
+
+
+def disc_quadratic(n: int, t):
+    """The quadratic Q(t) = s^2 * (m^2 + m + 1) at m = t/s carried by the
+    discriminant: t^2 + s*t + s^2 (t may be an integer or Poly.x())."""
+    s = parameter_scale(n)
+    return t * t + s * t + s * s
 
 
 @dataclass(frozen=True)
@@ -68,20 +77,19 @@ class SpecializedPoly:
     n: int
     t: int
     poly: Poly
-    m_rule: str  # "t" or "t/3"
+    m_rule: str  # "t" or "t/3": m = t/s
 
 
 def specialize(n: int, t: int) -> SpecializedPoly:
-    """Member of the family at integer parameter t, in integers: G_n + t * R_n,
-    or G_n + t * (R_n / 3) when 3 | n (m = t/3), once 3 | R_n is checked."""
+    """Member of the family at integer parameter t, in integers: G_n + t * R_n / s
+    at m = t/s (see parameter_scale), once s | R_n is checked."""
     if n < 2:
         raise ValueError("degree must be at least 2")
+    s = parameter_scale(n)
     pencil = _pencil(n)
-    if n % 3:
-        return SpecializedPoly(n, t, Poly([g + t * r for g, r in pencil]), "t")
-    if any(r % 3 for _, r in pencil):
-        raise AssertionError(f"3 does not divide the companion polynomial at n={n}")
-    return SpecializedPoly(n, t, Poly([g + t * (r // 3) for g, r in pencil]), "t/3")
+    if any(r % s for _, r in pencil):
+        raise AssertionError(f"{s} does not divide the companion polynomial at n={n}")
+    return SpecializedPoly(n, t, Poly([g + t * (r // s) for g, r in pencil]), "t" if s == 1 else f"t/{s}")
 
 
 def discriminant_formula(n: int, m) -> Fraction:
@@ -90,16 +98,20 @@ def discriminant_formula(n: int, m) -> Fraction:
     return 3 ** ((n - 1) * (n - 2) // 2) * n**n * (mval * mval + mval + 1) ** (n - 1)
 
 
+@lru_cache(maxsize=None)
+def discriminant_front(n: int) -> int:
+    """The integer C with disc(f_t) = C * Q(t)^(n-1): the closed form at m = 0,
+    where m^2 + m + 1 = 1, over s^(2n-2), since Q(t) = s^2 * (m^2 + m + 1)."""
+    front = discriminant_formula(n, 0) / parameter_scale(n) ** (2 * n - 2)
+    if front.denominator != 1:
+        raise AssertionError(f"non-integral discriminant front at n={n}")
+    return front.numerator
+
+
 def discriminant_formula_t(n: int, t: int) -> int:
-    """Closed form of the specialized discriminant at an integer parameter."""
-    if n % 3 == 0:
-        # the 3-exponent (n-1)(n-6)/2 is negative for n = 3 and cancels into n^n
-        e = (n - 1) * (n - 6) // 2
-        q, r = divmod(3 ** max(e, 0) * n**n * (t * t + 3 * t + 9) ** (n - 1), 3 ** max(-e, 0))
-        if r:
-            raise AssertionError(f"non-integral discriminant closed form at n={n}, t={t}")
-        return q
-    return 3 ** ((n - 1) * (n - 2) // 2) * n**n * (t * t + t + 1) ** (n - 1)
+    """Closed form of the specialized discriminant at an integer parameter:
+    discriminant_front(n) * Q(t)^(n-1)."""
+    return discriminant_front(n) * disc_quadratic(n, t) ** (n - 1)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._kernels import zx_mulmod
-from .family import disc_quadratic, discriminant_formula_t, specialize
+from .family import disc_quadratic, discriminant_formula_t, parameter_scale, specialize
 from .numutil import factorize
 from .poly import Poly, discriminant
 
@@ -42,7 +42,7 @@ def _discriminant_law(n: int) -> None:
     once per degree; raises AssertionError at the first t where they differ.
 
     f_t is monic and each of its other coefficients has degree <= 1 in t
-    (the pencil G_n + t * R_n, or t * R_n / 3 when 3 | n), and the
+    (the pencil G_n + t * R_n / s at m = t/s), and the
     discriminant of a degree-n polynomial is homogeneous of degree 2n - 2 in
     its coefficients, so disc(f_t) has degree <= 2n - 2 in t.  So has the
     closed form, a constant times Q(t)^(n-1).  Agreement at the 2n - 1
@@ -177,10 +177,10 @@ def witness_prime(fac: tuple[tuple[int, int], ...]) -> int | None:
 
 
 def _shifted(n: int, t: int, f: Poly) -> Poly:
-    """f(X + t), or 3^n * f(X/3) shifted by t when 3 divides n, in integers."""
-    if n % 3 == 0:
-        f = Poly([c * 3 ** (n - i) for i, c in enumerate(f.coeffs)])
-    return f.shift(t)
+    """s^n * f(X/s) shifted by t, in integers: the minimal polynomial of
+    s * beta - t, where m = t/s (see family.parameter_scale)."""
+    s = parameter_scale(n)
+    return Poly([c * s ** (n - i) for i, c in enumerate(f.coeffs)]).shift(t)
 
 
 def is_eisenstein(p: Poly, prime: int) -> bool:

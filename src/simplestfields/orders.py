@@ -73,7 +73,7 @@ from itertools import product as iter_product, repeat
 from math import comb, gcd, lcm
 
 from ._kernels import hnf_rows, solve_lower_coords, zx_mod, zx_mul
-from .family import disc_quadratic, specialize
+from .family import disc_quadratic, discriminant_front, parameter_scale, specialize
 from .linalg import left_kernel_mod_p
 from .numberfield import (
     NumberField,
@@ -584,20 +584,19 @@ def integral_basis(field: NumberField, strategy: str = "radical", gate: str = "s
 
 def denominator_bound(n: int) -> int:
     """Universal denominator bound: the greatest C with C^2 dividing the
-    branch value 3^e * n^n.
+    branch value B_n = 3 * s^2 * discriminant_front(n), s = parameter_scale(n).
 
-    C bounds the denominator of every algebraic integer over the power basis
-    (the exponent of O/Z[beta]); the index itself can exceed it in 3-power
-    when 3 divides the parameter quadratic, since the discriminant carries
-    n-1 copies of that quadratic.
+    3 * s^2 is the largest power of 3 that divides any Q(t): 3 divides
+    u^2 + u + 1 at most once, which is Q(u) at s = 1, and at s = 3 Q(t) is
+    prime to 3 unless t = 3u, where it is 9 * (u^2 + u + 1).  So B_n is the front of disc(f_t) = discriminant_front(n) * Q(t)^(n-1)
+    times one copy of the largest 3-part of Q.  C bounds the denominator of every algebraic integer over the
+    power basis (the exponent of O/Z[beta]); the index itself can exceed it
+    in 3-power when 3 divides the parameter quadratic, since the
+    discriminant carries n-1 copies of that quadratic.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
-    if n % 3 == 0:
-        e = (n * n - 7 * n + 12) // 2
-    else:
-        e = (n * n - 3 * n + 4) // 2
-    return largest_square_root_divisor(3**e * n**n)
+    return largest_square_root_divisor(3 * parameter_scale(n) ** 2 * discriminant_front(n))
 
 
 def period_length_bound(n: int) -> int:

@@ -17,13 +17,14 @@ so a wrong modulus still yields per-parameter fingerprints and an
 inconsistent report.
 """
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .family import disc_quadratic
+from .family import disc_quadratic, discriminant_front
 from .linalg import adjugate
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
@@ -132,10 +133,10 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     table law asserts front = 3^e * n and power = 1.
 
     The determinant of the integer trace matrix is the polynomial
-    discriminant, which number_field certifies against the closed form
-    front * Q(t)^(n-1); it must equal the field's discriminant at every
-    point, and front is the one common quotient det / Q(t)^(n-1).  The
-    trace matrix is symmetric, so its adjugate is too, and only the entries
+    discriminant, which must equal the field's discriminant at every point;
+    number_field reads that off the closed form front * Q(t)^(n-1), proved
+    once per degree, so front is family.discriminant_front(n).  The trace
+    matrix is symmetric, so its adjugate is too, and only the entries
     on and above the diagonal are interpolated, at t = 0, ..., 2n-2; they
     have degree at most 2n-2, which three extra verification points
     confirm.  Q is monic, so by Gauss's lemma an entry has the content of
@@ -145,21 +146,14 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("degree must be at least 2")
     deg_bound = 2 * n - 2
+    front = discriminant_front(n)
     points = []
-    fronts = set()
     for t0 in range(deg_bound + 4):
         field = number_field(n, t0)
         det0, adj0 = adjugate(_trace_matrix(field))
         if det0 != field.disc:
             raise AssertionError(f"the trace-matrix determinant is not the discriminant at t={t0}")
-        front, rem = divmod(det0, disc_quadratic(n, t0) ** (n - 1))
-        if rem:
-            raise AssertionError("the parameter quadratic does not divide the determinant n-1 times")
-        fronts.add(front)
         points.append([adj0[i][j] for i in range(n) for j in range(i, n)])
-    if len(fronts) != 1:
-        raise AssertionError("the determinant is not a constant times a power of the parameter quadratic")
-    (front,) = fronts
     fit = points[: deg_bound + 1]
     entries = [Poly(_interpolate_int([adj0[k] for adj0 in fit])) for k in range(len(points[0]))]
     for extra in range(deg_bound + 1, deg_bound + 4):
@@ -169,7 +163,7 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     d_int = 1
     for entry in entries:
         d_int = lcm(d_int, front // gcd(front, *entry.coeffs))
-    q_poly = Poly([9, 3, 1]) if n % 3 == 0 else Poly([1, 1, 1])
+    q_poly = disc_quadratic(n, Poly.x())
     q_pow = [Poly.const(1)]
     for _ in range(n - 1):
         q_pow.append(q_pow[-1] * q_poly)
@@ -279,11 +273,14 @@ class PeriodReport:
     classes: dict  # residue -> list of (t, fingerprint), ascending t
     skipped: tuple  # (t, reason), ascending t
     inconsistent: tuple  # residues whose fingerprints differ
-    scanned_classes: tuple
 
     @property
     def consistent(self) -> bool:
         return not self.inconsistent
+
+    @property
+    def scanned_classes(self) -> tuple:
+        return tuple(sorted(self.classes))
 
 
 def period_scan(
@@ -302,9 +299,11 @@ def period_scan(
     the scan to chosen classes (used for reduced sweeps at large moduli).  Each
     slice gates its parameters one at a time, next to their fields (see
     _scan_slice); a rejected parameter is reported in skipped with its
-    reason.  With workers > 1 each pool task scans the interleaved slice
-    jobs[i::workers] with its own start cache.  The report is deterministic
-    and independent of the worker count.  Raises ValueError for n < 2,
+    reason.  The jobs are cut into k = min(workers, len(jobs), CPUs)
+    interleaved slices jobs[i::k], each scanned by one pool task with its
+    own start cache: more slices than CPUs would only thin the classes a
+    slice can certify.  The report is deterministic and independent of the
+    worker count.  Raises ValueError for n < 2,
     modulus < 1, an empty range, workers < 1, an unknown gate or strategy, or
     residues that leave no parameter of the range, and
     ParameterNotCoveredError when the gate rejects every remaining parameter,
@@ -328,7 +327,8 @@ def period_scan(
     jobs = [t for t in ts if wanted is None or t % modulus in wanted]
     if not jobs:
         raise ValueError("no parameter of the range lies in the chosen residue classes")
-    slices = [(n, modulus, jobs[i::workers], gate, strategy) for i in range(min(workers, len(jobs)))]
+    k = min(workers, len(jobs), os.cpu_count() or 1)
+    slices = [(n, modulus, jobs[i::k], gate, strategy) for i in range(k)]
     if len(slices) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used
 
@@ -356,7 +356,6 @@ def period_scan(
         classes=classes,
         skipped=tuple(skipped),
         inconsistent=inconsistent,
-        scanned_classes=tuple(sorted(classes)),
     )
 
 

@@ -15,8 +15,11 @@ polynomial comes from its table of polynomials in m instead of the integer
 pencil, the minimality witness compares each parameter with every
 earlier member of its class, the class certificate interpolates every table
 cell to its full degree n - 1 in the class step from n + 1 sample tables,
-and the field discriminant is a resultant per field instead of the closed
-form proved once per degree.
+the field discriminant is a resultant per field instead of the closed
+form proved once per degree, and the parameter quadratic, the
+specialization, the specialized discriminant, the integer shift and the
+denominator bound each branch on 3 | n themselves instead of reading the
+scale s of m = t/s.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from itertools import product
 from math import comb, gcd, lcm
 
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
-from simplestfields.family import disc_quadratic, specialize
+from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import adjugate, left_kernel_mod_p
 from simplestfields.numberfield import number_field
 from simplestfields.numutil import (
@@ -33,6 +36,7 @@ from simplestfields.numutil import (
     _sieve,
     factorize,
     is_prime,
+    largest_square_root_divisor,
     p_adic_valuation,
     three_free_part,
 )
@@ -504,3 +508,41 @@ def resultant_field_discriminant(n: int, t: int) -> int:
     """The discriminant of the family member at t, by one subresultant-PRS
     resultant for this one field."""
     return discriminant(specialize(n, t).poly)
+
+
+def two_branch_disc_quadratic(n: int, t: int) -> int:
+    """The parameter quadratic: t^2+t+1, or t^2+3t+9 when 3 | n."""
+    return t * t + 3 * t + 9 if n % 3 == 0 else t * t + t + 1
+
+
+def two_branch_specialize(n: int, t: int) -> SpecializedPoly:
+    """G_n + t * R_n, or G_n + t * (R_n / 3) when 3 | n (m = t/3)."""
+    pencil = _pencil(n)
+    if n % 3:
+        return SpecializedPoly(n, t, Poly([g + t * r for g, r in pencil]), "t")
+    assert not any(r % 3 for _, r in pencil), n
+    return SpecializedPoly(n, t, Poly([g + t * (r // 3) for g, r in pencil]), "t/3")
+
+
+def two_branch_discriminant_formula_t(n: int, t: int) -> int:
+    """The specialized discriminant closed form with its own 3-exponent per
+    branch; (n-1)(n-6)/2 is negative for n = 3 and cancels into n^n."""
+    if n % 3 == 0:
+        e = (n - 1) * (n - 6) // 2
+        q, r = divmod(3 ** max(e, 0) * n**n * (t * t + 3 * t + 9) ** (n - 1), 3 ** max(-e, 0))
+        assert r == 0, (n, t)
+        return q
+    return 3 ** ((n - 1) * (n - 2) // 2) * n**n * (t * t + t + 1) ** (n - 1)
+
+
+def two_branch_shifted(n: int, t: int, f: Poly) -> Poly:
+    """f(X + t), or 3^n * f(X/3) shifted by t when 3 divides n."""
+    if n % 3 == 0:
+        f = Poly([c * 3 ** (n - i) for i, c in enumerate(f.coeffs)])
+    return f.shift(t)
+
+
+def two_branch_denominator_bound(n: int) -> int:
+    """The greatest C with C^2 dividing 3^e * n^n, e by branch on 3 | n."""
+    e = (n * n - 7 * n + 12) // 2 if n % 3 == 0 else (n * n - 3 * n + 4) // 2
+    return largest_square_root_divisor(3**e * n**n)

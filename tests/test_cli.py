@@ -176,6 +176,18 @@ def test_worker_count_does_not_change_payload(capsys):
     assert doc1 == doc2
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    """An --out path in a missing directory, or a directory itself, gives a
+    usage-error document on stdout that names the path, and exit 2."""
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, doc = run_cli(capsys, ["family", "--n", "4", "--out", str(path)])
+        assert code == 2
+        assert doc["status"] == "usage-error"
+        assert str(path) in doc["error"]
+        assert "result" not in doc and doc["command"]["n"] == "4"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["family", "--n", "2", "--symbolic", "--out", str(path)])

@@ -1,5 +1,6 @@
 """Source-level contracts of the library: checks that survive `python -O`,
-the names the benchmark tracer wraps, and caches that never change a result."""
+the one owner of the 3 | n parameter rule, the names the benchmark tracer
+wraps, and caches that never change a result."""
 
 import ast
 import importlib
@@ -37,6 +38,33 @@ def test_periodicity_reads_no_table_internals():
         if alias.name.startswith("_")
     }
     assert private <= {"_saturate"}, sorted(private)
+
+
+def _is_degree(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "n") or (isinstance(node, ast.Attribute) and node.attr == "n")
+
+
+def test_only_family_decides_the_parameter_scale():
+    """The 3 | n rule m = t/s and the coefficients of Q(t) = t^2 + s*t + s^2
+    are stated in family alone: numberfield, orders and periodicity take no
+    degree mod 3 and write no coefficient list of Q."""
+    found = []
+    for name in ("numberfield", "orders", "periodicity"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            degree_mod_3 = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and _is_degree(node.left)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 3
+            )
+            q_coeffs = isinstance(node, (ast.List, ast.Tuple)) and [
+                getattr(e, "value", None) for e in node.elts
+            ] in ([1, 1, 1], [9, 3, 1])
+            if degree_mod_3 or q_coeffs:
+                found.append(f"{name}.py:{node.lineno}")
+    assert not found, found
 
 
 def _tracer_layers() -> dict:

@@ -13,15 +13,31 @@ from simplestfields.family import (
     companion_coeff,
     companion_poly,
     disc_quadratic,
+    discriminant_formula,
+    discriminant_formula_t,
+    discriminant_front,
     family_coeff,
     family_poly,
     family_poly_at,
+    parameter_scale,
     quadratic_remainder,
     specialize,
 )
+from simplestfields.numberfield import _shifted
+from simplestfields.orders import denominator_bound
 from simplestfields.poly import Poly, resultant
 
-from oracles import FAMILY_TABLE, table_family_poly, table_family_poly_at, table_specialize
+from oracles import (
+    FAMILY_TABLE,
+    table_family_poly,
+    table_family_poly_at,
+    table_specialize,
+    two_branch_denominator_bound,
+    two_branch_disc_quadratic,
+    two_branch_discriminant_formula_t,
+    two_branch_shifted,
+    two_branch_specialize,
+)
 
 
 def test_coefficient_tables():
@@ -88,6 +104,32 @@ def test_disc_quadratic():
     assert disc_quadratic(4, 2) == 7
     assert disc_quadratic(6, 5) == 49
     assert disc_quadratic(3, 0) == 9
+    assert disc_quadratic(6, Poly.x()) == Poly([9, 3, 1])
+    assert disc_quadratic(4, Poly.x()) == Poly([1, 1, 1])
+
+
+def test_parameter_rule_matches_two_branch_forms():
+    """Everything read off the one scale s of m = t/s equals the form that
+    branches on 3 | n itself, for n = 2..40 and |t| <= 60."""
+    for n in range(2, 41):
+        assert denominator_bound(n) == two_branch_denominator_bound(n), n
+        for t in range(-60, 61):
+            sp, old = specialize(n, t), two_branch_specialize(n, t)
+            assert (sp.poly, sp.m_rule) == (old.poly, old.m_rule), (n, t)
+            assert disc_quadratic(n, t) == two_branch_disc_quadratic(n, t), (n, t)
+            assert discriminant_formula_t(n, t) == two_branch_discriminant_formula_t(n, t), (n, t)
+            assert _shifted(n, t, sp.poly) == two_branch_shifted(n, t, sp.poly), (n, t)
+
+
+def test_discriminant_front_is_the_closed_form_at_m_equal_t_over_s():
+    """disc(f_t) = C * Q(t)^(n-1) with C the closed form at m = t/s over
+    Q(t)^(n-1), the same integer at every t."""
+    for n in range(2, 13):
+        s = parameter_scale(n)
+        for t in (-7, 1, 5):
+            front = discriminant_formula(n, Fraction(t, s)) / disc_quadratic(n, t) ** (n - 1)
+            assert front == discriminant_front(n), (n, t)
+    assert [discriminant_front(n) for n in (2, 3, 4, 6)] == [4, 1, 3**3 * 4**4, 6**6]
 
 
 def test_recursions_and_reflection():

@@ -185,6 +185,46 @@ def test_period_scan_residue_restriction_and_workers():
     assert parallel.skipped == full.skipped
 
 
+class _RecordingExecutor:
+    """A stand-in for ProcessPoolExecutor that starts no process: it records
+    each pool's size and the slices mapped, and scans them in this process."""
+
+    pools: list = []
+
+    def __init__(self, max_workers):
+        self.pools.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, slices):
+        slices = list(slices)
+        self.pools[-1]["slices"] = [job[2] for job in slices]
+        return [fn(job) for job in slices]
+
+
+def test_period_scan_pool_is_bounded_by_the_cpus(monkeypatch):
+    """workers=1000 over 61 parameters asks for one process per CPU, not 61
+    one-parameter slices, and the report is the serial one."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingExecutor, "pools", [])
+    serial = period_scan(4, 24, range(-30, 31))
+    pooled = period_scan(4, 24, range(-30, 31), workers=1000)
+    (pool,) = _RecordingExecutor.pools
+    assert pool["max_workers"] == 2
+    assert sorted(t for ts in pool["slices"] for t in ts) == list(range(-30, 31))
+    assert pooled.classes == serial.classes and pooled.skipped == serial.skipped
+    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: None)  # unknown: one slice, no pool
+    assert period_scan(4, 24, range(-30, 31), workers=1000).classes == serial.classes
+    assert len(_RecordingExecutor.pools) == 1
+
+
 def test_minimality_witness():
     rep = period_scan(2, 4, range(-50, 51))
     w = minimality_witness(2, 4, rep)
