@@ -5,10 +5,12 @@ matrix H: row i divided by D is the i-th basis element over the power basis
 of beta.  Two independent saturation strategies are provided and serve as
 each other's oracle:
 
-  * "enumerate": sweep the projective points v over F_p of the kernel of
-    the trace form mod p (the v for which every Tr((v . basis) * beta^j / p)
-    is integral) and test (v . basis)/p for integrality via the
-    characteristic polynomial, enlarging until a full sweep finds nothing;
+  * "enumerate": sweep the projective points v over F_p of the kernel mod p
+    of the lattice's own trace form G_ik = Tr(e_i * e_k), e_i = basis_i / den
+    (the v for which every Tr((v . e) / p * e_k) is integral), skip those
+    whose e_2 Newton's step already shows to be non-integral, and test the
+    rest for integrality via the characteristic polynomial, enlarging until
+    a full sweep finds nothing;
   * "radical": Pohst-Zassenhaus rounds on the order's multiplication table
     T[i][j], the coordinates of basis_i * basis_j over the basis (Cohen,
     GTM 138, Algorithm 6.1.8).  The Frobenius x -> x^p has the matrix M_p
@@ -51,7 +53,10 @@ Such a start is a make_order fingerprint (den, HNF) with den a power of p.
 It is used only when the lattice over den contains den * beta^i for every
 i and is closed under all n(n+1)/2 products of its basis rows under the
 defining polynomial: it is then an order of p-power index over Z[beta], so
-it lies in the p-maximal order.
+it lies in the p-maximal order.  The enumerate strategy asks instead that
+each basis row over den be an algebraic integer (_integral_start), which
+puts the lattice in the p-maximal order as well; it never forms a
+multiplication table.
 Those products are exactly the multiplication table, so an accepted start
 hands its table to the first radical round, which then needs no polynomial
 product.  Otherwise saturation starts from Z[beta].  Either way the
@@ -71,6 +76,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product, repeat
 from math import comb, gcd, lcm
+from operator import mul
 
 from ._kernels import hnf_rows, solve_lower_coords, zx_mod, zx_mul
 from .family import disc_quadratic, discriminant_front, parameter_scale, specialize
@@ -307,42 +313,75 @@ def _projective_vectors(n: int, p: int):
 
 
 def _trace_candidates(order: Order, p: int, traces):
-    """Numerators w = v . basis, v projective over F_p, for which
-    Tr(w * beta^j) / (p * den) is integral for every j, in the order of
-    _projective_vectors(n, p), generated lazily.
+    """Numerators w = v . basis, v projective over F_p, for which x = w /
+    (p * den) has Tr(x * e_k) and the second elementary symmetric function
+    e_2(x) integral, e_k = basis_k / den, in the order of
+    _projective_vectors(n, p), generated lazily.  Every integral x passes.
 
-    Each basis row over den is an order element, so S_ij = Tr(basis_i * beta^j)
-    is divisible by den, and the test reads sum_i v_i * S_ij / den = 0 mod p:
-    the surviving v are the projective points of a left kernel mod p.  With
-    the kernel basis K in reduced row echelon form, v = c . K has its first
-    nonzero coordinate at the pivot of the first nonzero c_i, equal to c_i,
-    and two such v first differ at the pivot where their c first differ;
-    so the projective c in _projective_vectors order give exactly the
-    projective v, in _projective_vectors(n, p) order.
+    Each e_k is integral (the lattice is spanned by algebraic integers), so
+    S_ij = Tr(basis_i * beta^j) / den and the lattice's trace form
+    G_ik = Tr(e_i * e_k) = sum_j S_ij * basis_k[j] / den are integers, and
+    Tr(x * e_k) = sum_i v_i G_ik / p: the surviving v are the projective
+    points of the left kernel of G mod p.  Z[beta] lies in the lattice, so
+    that kernel lies in the one of S mod p, the test on Tr(x * beta^j)
+    alone.  With the kernel basis K in reduced row echelon form, v = c . K
+    has its first nonzero coordinate at the pivot of the first nonzero c_i,
+    equal to c_i, and two such v first differ at the pivot where their c
+    first differ; so the projective c in _projective_vectors order give
+    exactly the projective v, in _projective_vectors(n, p) order.
+
+    Newton's step then reads e_2(x) = ((v . g)^2 - v G v^T) / (2 p^2) with
+    g_i = Tr(e_i) = S_i0, so a kernel point passes when (v . g)^2 - v G v^T
+    = 0 mod 2p^2.  The verdict is the same for every lift of v in the
+    kernel: v + p * u adds p^2 * 2 e_2(u . e) plus 2p((v . g)(u . g) -
+    v G u^T), and both v . g and v G are 0 mod p.  So it is decided on the
+    lift c . K, in kernel coordinates: (c . Kg)^2 - c (K G K^T) c^T.
     """
     n = order.n
     den, basis = order.den, order.basis
-    form = []
-    for row in basis:
-        form_row = []
-        for j in range(n):
-            q, r = divmod(sum(row[k] * traces[k + j] for k in range(n)), den)
+    rows = [row[: i + 1] for i, row in enumerate(basis)]  # an HNF row i is 0 past column i
+    windows = [traces[j : j + n] for j in range(n)]
+    pairing = []  # S
+    for row in rows:
+        pairing_row = []
+        for window in windows:
+            q, r = divmod(sum(map(mul, row, window)), den)
             if r:
                 raise AssertionError("trace of an order element is not integral")
-            form_row.append(q % p)
-        form.append(form_row)
+            pairing_row.append(q)
+        pairing.append(pairing_row)
+    form = [[0] * n for _ in range(n)]  # G = S . basis^T / den, symmetric
+    for i, pairing_row in enumerate(pairing):
+        for k in range(i + 1):
+            q, r = divmod(sum(map(mul, pairing_row, rows[k])), den)
+            if r:
+                raise AssertionError("trace form of the lattice is not integral")
+            form[i][k] = form[k][i] = q
     kernel = left_kernel_mod_p(form, p)
+    mod = 2 * p * p
+    g = [row[0] for row in pairing]
+    kg = [sum(map(mul, k, g)) for k in kernel]
+    k_form = [[sum(map(mul, k, row)) for row in form] for k in kernel]  # K G, G symmetric
+    quad = [[(a * b - sum(map(mul, kf, k))) % mod for b, k in zip(kg, kernel)] for a, kf in zip(kg, k_form)]
     for c in _projective_vectors(len(kernel), p):
-        v = [sum(ca * ka[i] for ca, ka in zip(c, kernel)) % p for i in range(n)]
-        yield [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
+        if sum(ca * sum(map(mul, row, c)) for ca, row in zip(c, quad) if ca) % mod:
+            continue  # e_2 is not integral
+        v = [sum(map(mul, c, column)) % p for column in zip(*kernel)]
+        yield [sum(map(mul, v, column)) for column in zip(*basis)]
 
 
 def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order | None:
-    """One sweep over the projective points of the trace-form kernel mod p;
-    returns the lattice enlarged by the first integral candidate, or None
-    when there is none.  The enlarged lattice contains Z[beta] but need not
-    be closed under products: only the lattice where a sweep finds nothing
-    is known to be a ring (the p-maximal order)."""
+    """One sweep over the candidates of _trace_candidates; returns the
+    lattice enlarged by the first integral candidate, or None when there is
+    none.  The enlarged lattice contains Z[beta] but need not be closed
+    under products: only the lattice where a sweep finds nothing is known to
+    be a ring (the p-maximal order).
+
+    The candidates are the projective points of the kernel of the filter on
+    Tr(x * beta^j) alone, in the same order, less some non-integral ones;
+    only is_algebraic_integer accepts.  So the sweep finds the same first
+    integral candidate as a sweep over that larger kernel, and every round,
+    hence the whole chain of lattices, is the same."""
     pd = p * order.den
     for w in _trace_candidates(order, p, traces):
         if is_algebraic_integer(field_elt(field, w, pd)):
@@ -397,17 +436,36 @@ def _polygon_start(field: NumberField, p: int) -> Fingerprint | None:
     return make_order(field, p**top, rows).fingerprint
 
 
-def _start_order(field: NumberField, start) -> tuple[Order, list[int]] | None:
+def _start_order(field: NumberField, start, products=None) -> tuple[Order, list[int]] | None:
     """(order, multiplication table cells) for the fingerprint start = (den,
     HNF rows), or None unless the lattice over den contains Z[beta] and is
-    closed under multiplication."""
+    closed under multiplication.  products is None or a list that holds the
+    _basis_products of the rows, filled here when it is empty: the products
+    are free of f, so a caller that tries one start at many parameters keeps
+    the list next to it."""
     den, basis = start
     if not _contains_power_basis(den, basis):
         return None
+    if products is not None and not products:
+        products += _basis_products(basis)
     try:
-        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis)
+        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis, products)
     except ValueError:  # a product is outside the lattice over den
         return None
+
+
+def _integral_start(field: NumberField, start) -> Order | None:
+    """The lattice of the fingerprint start = (den, HNF rows), or None unless
+    it contains Z[beta] and each row over den is an algebraic integer.  Then
+    the whole lattice is integral, and with den a power of p it lies in the
+    p-maximal order, which is all an enumerate sweep needs of its lattice;
+    no multiplication table is formed."""
+    den, basis = start
+    if not _contains_power_basis(den, basis):
+        return None
+    if not all(is_algebraic_integer(field_elt(field, row, den)) for row in basis):
+        return None
+    return Order(field, den, tuple(tuple(r) for r in basis))
 
 
 def class_certificate(
@@ -497,32 +555,38 @@ def class_certificate(
     return True, "ok"
 
 
-def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
+def _saturate(field: NumberField, p: int, strategy: str, start=None, products=None) -> Order:
     """p_maximal_order for a strategy already known to be valid.
 
     start is None or the fingerprint of a p-maximal order of the same degree
-    (so canonical, with den a power of p).  Saturation starts from the first
-    of start and, under the radical strategy, _polygon_start(field, p) that
-    _start_order accepts, else from Z[beta]; the accepted table serves the
-    first radical round.  An accepted start is an order but need not be
-    p-maximal: the rounds saturate it further.
+    (so canonical, with den a power of p), and products None or the list
+    that _start_order keeps its basis products in.  Under the radical
+    strategy saturation starts from the first of start and
+    _polygon_start(field, p) that _start_order accepts, else from Z[beta];
+    the accepted table serves the first radical round.  Under the enumerate
+    strategy it starts from start if _integral_start accepts it, else from
+    Z[beta], and reads no multiplication table.  An accepted start need not
+    be p-maximal: the rounds saturate it further.
     """
     if p_adic_valuation(field.disc, p) < 2:
         return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
-    accepted = None if start is None else _start_order(field, start)
-    if accepted is None and strategy == "radical":
+    if strategy == "enumerate":
+        order = None if start is None else _integral_start(field, start)
+        order = order or power_order(field)
+        traces = field_trace_powers(field, 2 * field.n - 2)
+        while (enlarged := _enumerate_round(field, order, p, traces)) is not None:
+            order = enlarged
+        return order
+    accepted = None if start is None else _start_order(field, start, products)
+    if accepted is None:
         polygon = _polygon_start(field, p)
         accepted = None if polygon is None else _start_order(field, polygon)
     order, cells = accepted or (power_order(field), None)
-    traces = field_trace_powers(field, 2 * field.n - 2) if strategy == "enumerate" else None
     while True:
-        if strategy == "radical":
-            nxt = _radical_round(field, order, p, cells or _mult_table(field.poly.coeffs, order.den, order.basis))
-        else:
-            nxt = _enumerate_round(field, order, p, traces)
-        if nxt is None:
+        enlarged = _radical_round(field, order, p, cells or _mult_table(field.poly.coeffs, order.den, order.basis))
+        if enlarged is None:
             return order
-        order, cells = nxt, None
+        order, cells = enlarged, None
 
 
 def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Order:

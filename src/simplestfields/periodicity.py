@@ -225,7 +225,9 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     certificate builds d + 2 <= n + 1 sample tables, fewer as v grows (see
     orders.class_certificate); the threshold stays at n members whatever d
     is.  Other classes are saturated member by member, from the last
-    p-maximal order with den > 1 of the class when p^v > 1.
+    p-maximal order with den > 1 of the class when p^v > 1; that start keeps
+    the list its basis products are formed into on first use (they are free
+    of t), until a member's order differs from it.
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
     already checked the gate and strategy names.
     """
@@ -233,7 +235,7 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
     members = Counter((p, t % part) for t in ts for p, part in prime_parts.items())
     certified: dict[tuple[int, int], Order | None] = {}  # None: not certifiable
-    starts: dict[tuple[int, int], Fingerprint] = {}
+    starts: dict[tuple[int, int], tuple[Fingerprint, list]] = {}  # a start and the list of its t-free products
     joins: dict[tuple[Fingerprint, ...], Fingerprint] = {}
     out = []
     skipped = []
@@ -249,11 +251,12 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
                 key = (p, t % part)
                 o = certified.get(key)
                 if o is None:
-                    o = _saturate(field, p, strategy, starts.get(key))
+                    start, products = starts.get(key, (None, None))
+                    o = _saturate(field, p, strategy, start, products)
                     if key not in certified and strategy == "radical" and members[key] > n:
                         certified[key] = o if class_certificate(n, p, part, t, o.fingerprint, gate)[0] else None
-                    if part > 1 and o.den > 1:
-                        starts[key] = o.fingerprint
+                    if part > 1 and o.den > 1 and o.fingerprint != start:
+                        starts[key] = (o.fingerprint, [])
                 orders.append(o)
             parts = tuple(o.fingerprint for o in orders)
             if parts not in joins:

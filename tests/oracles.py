@@ -29,7 +29,7 @@ from math import comb, gcd, lcm
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import adjugate, left_kernel_mod_p
-from simplestfields.numberfield import number_field
+from simplestfields.numberfield import field_elt, field_trace_powers, is_algebraic_integer, number_field
 from simplestfields.numutil import (
     TRIAL_DIVISION_BOUND,
     _brent_rho,
@@ -47,6 +47,7 @@ from simplestfields.orders import (
     _radical_kernel,
     _table_key,
     make_order,
+    power_order,
 )
 from simplestfields.periodicity import _interpolate_int, _trace_matrix
 from simplestfields.poly import Poly, discriminant
@@ -191,21 +192,20 @@ def quadratic_maximal_fingerprint(t: int):
     return (1, ((1, 0), (0, 1)))
 
 
-def brute_force_trace_candidates(order, p: int, traces) -> list[list[int]]:
+def brute_force_trace_candidates(order, p: int, traces):
     """Numerators w = v . basis over every projective v in F_p^n (first nonzero
     coordinate 1, in lexicographic order per leading position) that pass the
-    trace filter: Tr(w * beta^j) divisible by p * den for every j."""
+    trace filter: Tr(w * beta^j) divisible by p * den for every j; generated
+    lazily."""
     n = len(order.basis)
     basis = order.basis
     pd = p * order.den
-    out = []
     for lead in range(n):
         for tail in product(range(p), repeat=n - 1 - lead):
             v = (0,) * lead + (1,) + tail
             w = [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
             if all(sum(w[k] * traces[k + j] for k in range(n)) % pd == 0 for j in range(n)):
-                out.append(w)
-    return out
+                yield w
 
 
 def resultant_char_poly(f: list[int], num: list[int], den: int) -> list[Fraction]:
@@ -546,3 +546,48 @@ def two_branch_denominator_bound(n: int) -> int:
     """The greatest C with C^2 dividing 3^e * n^n, e by branch on 3 | n."""
     e = (n * n - 7 * n + 12) // 2 if n % 3 == 0 else (n * n - 3 * n + 4) // 2
     return largest_square_root_divisor(3**e * n**n)
+
+
+def brute_force_form_candidates(order, p: int, traces) -> list[list[int]]:
+    """Numerators w = v . basis over every projective v in F_p^n, in the order
+    of brute_force_trace_candidates, for which x = w / (p * den) has
+    Tr(x * basis_k / den) integral for every k and e_2(x) =
+    (Tr(x)^2 - Tr(x^2)) / 2 integral, each trace summed from the traces of
+    beta^i."""
+    n = len(order.basis)
+    basis = order.basis
+    den = order.den
+    pd = p * den
+
+    def tr(a, b):  # Tr(a * b) for numerators a, b over the power basis
+        return sum(x * y * traces[i + j] for i, x in enumerate(a) for j, y in enumerate(b))
+
+    out = []
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - 1 - lead):
+            v = (0,) * lead + (1,) + tail
+            w = [sum(v[i] * basis[i][j] for i in range(n)) for j in range(n)]
+            if any(tr(w, b) % (pd * den) for b in basis):
+                continue
+            if (tr(w, [1]) ** 2 - tr(w, w)) % (2 * pd * pd):
+                continue
+            out.append(w)
+    return out
+
+
+def trace_filter_enumerate_chain(field, p: int) -> list:
+    """The fingerprints of the lattices of enumerate saturation at p, from
+    Z[beta], where each round takes the first candidate of
+    brute_force_trace_candidates (the filter on Tr(x * beta^j) alone) that
+    is an algebraic integer."""
+    traces = field_trace_powers(field, 2 * field.n - 2)
+    order = power_order(field)
+    chain = [order.fingerprint]
+    while True:
+        pd = p * order.den
+        candidates = brute_force_trace_candidates(order, p, traces)
+        w = next((w for w in candidates if is_algebraic_integer(field_elt(field, w, pd))), None)
+        if w is None:
+            return chain
+        order = make_order(field, pd, [w] + [[p * x for x in row] for row in order.basis])
+        chain.append(order.fingerprint)

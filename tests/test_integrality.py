@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplestfields import numberfield, orders
+from simplestfields import numberfield, orders, periodicity
 from simplestfields._kernels import zx_divexact, zx_mulmod
 from simplestfields.family import disc_quadratic, specialize
 from simplestfields.numberfield import (
@@ -21,6 +21,7 @@ from simplestfields.numutil import factorize, p_adic_valuation
 from simplestfields.orders import (
     STRATEGIES,
     _enumerate_round,
+    _integral_start,
     _mult_table,
     _polygon_start,
     _radical_kernel,
@@ -41,6 +42,7 @@ from simplestfields.periodicity import FINAL_PERIOD_TABLE, _interpolate_int, per
 from simplestfields.poly import Poly
 
 from oracles import (
+    brute_force_form_candidates,
     brute_force_trace_candidates,
     fraction_shifted_min_poly,
     matrix_trace_powers,
@@ -48,6 +50,7 @@ from oracles import (
     quadratic_maximal_fingerprint,
     resultant_char_poly,
     resultant_field_discriminant,
+    trace_filter_enumerate_chain,
     two_factorization_parameter_gate,
 )
 
@@ -381,31 +384,67 @@ def test_interpolate_int_rejects_non_integral():
 
 def test_trace_candidates_match_brute_force_filter():
     """The kernel sweep yields the same vectors, in the same order, as the
-    trace filter over all projective vectors, at the power order and after
-    one enlargement; at n = 5 along the whole enumerate chain of p = 3 and
-    p = 5, the p-maximal order included."""
+    trace-form and e_2 filter over all projective vectors; that stream is an
+    order-preserving subsequence of the filter on Tr(x * beta^j) alone and
+    keeps every integral candidate of it.  Checked at the power order and
+    after one enlargement; at n = 5 along the whole enumerate chain of p = 3
+    and p = 5, the p-maximal order included."""
+
+    def check(f, order, p, traces):
+        candidates = list(_trace_candidates(order, p, traces))
+        assert candidates == brute_force_form_candidates(order, p, traces), (f.n, f.t, p)
+        old = list(brute_force_trace_candidates(order, p, traces))
+        rest = iter(old)
+        assert all(w in rest for w in candidates), (f.n, f.t, p)
+        integral = [w for w in old if is_algebraic_integer(field_elt(f, w, p * order.den))]
+        assert [w for w in candidates if w in integral] == integral, (f.n, f.t, p)
+        return candidates, old
+
+    kept = swept = 0
     for n, t in [(6, 1), (6, 4), (8, 4), (8, -8)]:
         f = number_field(n, t)
         traces = field_trace_powers(f, 2 * n - 2)
         for p in (2, 3):
             order = power_order(f)
             for _ in range(2):
-                expected = brute_force_trace_candidates(order, p, traces)
-                assert list(_trace_candidates(order, p, traces)) == expected, (n, t, p)
-                assert expected
+                candidates, old = check(f, order, p, traces)
+                assert candidates, (n, t, p)
+                kept, swept = kept + len(candidates), swept + len(old)
                 order = _enumerate_round(f, order, p, traces)
                 assert order is not None, (n, t, p)
+    assert kept < swept
     for n, t in [(5, -50), (5, -52)]:
         f = number_field(n, t)
         traces = field_trace_powers(f, 2 * n - 2)
         for p in (3, 5):
             order, enlargements = power_order(f), 0
             while order is not None:
-                expected = brute_force_trace_candidates(order, p, traces)
-                assert list(_trace_candidates(order, p, traces)) == expected, (n, t, p)
+                check(f, order, p, traces)
                 order = _enumerate_round(f, order, p, traces)
                 enlargements += order is not None
             assert enlargements >= 1, (n, t, p)
+
+
+def test_enumerate_chain_matches_the_trace_filter_chain():
+    """Each enumerate round takes the first integral candidate, and the
+    trace-form filter drops only non-integral ones, so every lattice of the
+    chain is the one a chain driven by the filter on Tr(x * beta^j) alone
+    builds.  Only the primes with p^n <= 3^9 vectors per oracle round are
+    cheap enough, which leaves out (7, 7) and (12, 3); n = 10 and 11 are
+    too slow to enumerate.  At (2, -29, 2) an integral candidate has
+    (v . g)^2 - v G v^T = 2p^2 mod 4p^2, so a 4p^2 filter would skip it."""
+    cases = [(2, -29, 2)]
+    for n in list(range(2, 10)) + [12]:
+        ts = GATE_PASSING_T[n][: 1 if n == 9 else 2 if n == 12 else 3]
+        cases += [(n, t, p) for t in ts for p in candidate_primes(n) if p**n <= 3**9]
+    for n, t, p in cases:
+        f = number_field(n, t)
+        traces = field_trace_powers(f, 2 * n - 2)
+        order = power_order(f)
+        chain = [order.fingerprint]
+        while (order := _enumerate_round(f, order, p, traces)) is not None:
+            chain.append(order.fingerprint)
+        assert chain == trace_filter_enumerate_chain(f, p), (n, t, p)
 
 
 def test_start_order_checks():
@@ -436,6 +475,28 @@ def test_start_order_checks():
     half_beta = [row[:] for row in diag]
     half_beta[1] = [0, 1, 0, 0]
     assert _start_order(f, (2, half_beta)) is None  # (beta/2)^2 is not in the lattice
+
+
+def test_integral_start_checks():
+    """The enumerate strategy accepts a start when it contains Z[beta] and
+    its rows are algebraic integers, closed under products or not, and
+    saturates it to the same p-maximal order."""
+    f = number_field(4, 3)
+    o = p_maximal_order(f, 2)
+    for start in (o, power_order(f)):
+        assert _integral_start(f, start.fingerprint) == start
+    diag = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    low = [row[:] for row in diag]
+    low[1] = [1, 4, 0, 0]
+    assert _integral_start(f, (2, low)) is None  # misses beta
+    half_beta = [row[:] for row in diag]
+    half_beta[1] = [0, 1, 0, 0]
+    assert _integral_start(f, (2, half_beta)) is None  # beta/2 is not integral
+    open_lattice = [row[:] for row in diag]
+    open_lattice[2] = [1, 0, 1, 0]  # (1 + beta^2)/2 is integral, its square is not in the lattice
+    assert _start_order(f, (2, open_lattice)) is None
+    assert _integral_start(f, (2, open_lattice)) is not None
+    assert _saturate(f, 2, "enumerate", (2, open_lattice)) == o
 
 
 def _table(field, order):
@@ -587,15 +648,45 @@ def test_polygon_start_is_absent_without_a_single_double_root():
 
 def test_enumerate_never_consults_the_polygon_start(monkeypatch):
     """The enumerate strategy saturates from Z[beta] or a transported start
-    only, so it stays independent of the polygon theory."""
+    only, accepts the start by integrality, and never reads a multiplication
+    table, a radical kernel or a class certificate, so it stays independent
+    of the polygon theory and of the radical strategy."""
 
-    def refused(field, p):
-        raise AssertionError("the enumerate strategy consulted the polygon start")
+    def refusing(name):
+        def refused(*args):
+            raise AssertionError(f"the enumerate strategy called {name}")
 
-    monkeypatch.setattr(orders, "_polygon_start", refused)
+        return refused
+
+    for name in ("_polygon_start", "_radical_kernel", "_mult_table", "class_certificate"):
+        monkeypatch.setattr(orders, name, refusing(name))
+    monkeypatch.setattr(periodicity, "class_certificate", refusing("class_certificate"))
     for n, t, p in ((4, 3, 2), (8, 5, 2), (8, 5, 3)):
         p_maximal_order(number_field(n, t), p, "enumerate")
     period_scan(4, 24, range(-40, 41), strategy="enumerate")
+
+
+def test_start_order_keeps_the_products_of_a_start(monkeypatch):
+    """The basis products of a start are free of t: _start_order forms them
+    once into the caller's list, and at another member of the class it reads
+    that list and gives the same table as without it."""
+    n, p = 8, 2
+    t0, t1 = [t for t in GATE_PASSING_T[n] if t % 16 == GATE_PASSING_T[n][0] % 16][:2]
+    start = p_maximal_order(number_field(n, t0), p).fingerprint
+    expected = [_start_order(number_field(n, t), start) for t in (t0, t1)]
+    assert all(expected)
+    calls = [0]
+    real = orders._basis_products
+
+    def counted(basis):
+        calls[0] += 1
+        return real(basis)
+
+    monkeypatch.setattr(orders, "_basis_products", counted)
+    products = []
+    assert [_start_order(number_field(n, t), start, products) for t in (t0, t1)] == expected
+    assert calls[0] == 1
+    assert products == real(start[1])
 
 
 def test_integrality_test_takes_n_minus_one_products(monkeypatch):

@@ -459,9 +459,9 @@ def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
     starts = []
     real = periodicity._saturate
 
-    def recorded(field, p, strategy, start=None):
+    def recorded(field, p, strategy, start=None, products=None):
         starts.append(start)
-        return real(field, p, strategy, start)
+        return real(field, p, strategy, start, products)
 
     monkeypatch.setattr(periodicity, "_saturate", recorded)
     period_scan(6, 1, range(-30, 31))
