@@ -47,8 +47,8 @@ Z[beta].  It tries, in this order:
     polygon of f at p (_polygon_start; Montes-Nart, J. Algebra 146, 1992),
     which is already the p-maximal order when f is p-regular.  Where it
     exists, that holds at every sampled (n, p) but (10, 2) and (12, 3),
-    where it may be a proper sub-order.  The enumerate strategy keeps
-    Z[beta], so it stays an independent oracle.
+    where it may be a proper sub-order.  The enumerate strategy reads no
+    Newton polygon.
 Such a start is a make_order fingerprint (den, HNF) with den a power of p.
 It is used only when the lattice over den contains den * beta^i for every
 i and is closed under all n(n+1)/2 products of its basis rows under the
@@ -59,12 +59,23 @@ puts the lattice in the p-maximal order as well; it never forms a
 multiplication table.
 Those products are exactly the multiplication table, so an accepted start
 hands its table to the first radical round, which then needs no polynomial
-product.  Otherwise saturation starts from Z[beta].  Either way the
-unchanged round loop runs until a round finds nothing to add, so every
-p-maximal order passes the same stopping test (Cohen, GTM 138, 6.1: an
+product.  Otherwise radical saturation starts from Z[beta], and enumerate
+saturation as below.  Either way the unchanged round loop runs until a
+round finds nothing to add, so every p-maximal order other than an
+enumerate Z[beta] passes the same stopping test (Cohen, GTM 138, 6.1: an
 order is p-maximal iff the multiplier ring of its p-radical is the order
 itself), exactness never rests on the polygon theory, and the canonical
 HNF makes the result independent of the start.
+
+The enumerate strategy first asks Dedekind's criterion (Cohen, GTM 138,
+Theorem 6.1.4; _dedekind_test), read off the factors of f mod p.  Where it
+finds Z[beta] p-maximal, saturation returns Z[beta] without a sweep.
+Otherwise, without an accepted transported start, it starts from Dedekind's
+order Z[beta] + (U(beta) / p) Z[beta] (_dedekind_order), the multiplier ring
+of the p-radical of Z[beta], whose generators over p must be algebraic
+integers, and the rounds and stopping sweep run as before.  The radical
+strategy reads neither, so in --strategy both its own stopping test checks
+every verdict of Dedekind's test.
 
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
@@ -436,6 +447,86 @@ def _polygon_start(field: NumberField, p: int) -> Fingerprint | None:
     return make_order(field, p**top, rows).fingerprint
 
 
+def _fp_trim(a, p: int) -> list[int]:
+    """The integer polynomial a reduced mod p, without trailing zeros."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p; b must be nonzero mod p."""
+    r, b = _fp_trim(a, p), _fp_trim(b, p)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        if c:
+            q[i - db] = c
+            for j in range(db + 1):
+                r[i - db + j] -= c * b[j]
+    return _fp_trim(q, p), _fp_trim(r[:db], p)
+
+
+def _fp_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd over F_p of a and b, not both 0 mod p."""
+    a, b = _fp_trim(a, p), _fp_trim(b, p)
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _fp_radical(a, p: int) -> list[int]:
+    """The product of the distinct monic irreducible factors of a monic a
+    over F_p.  With c = gcd(a, a'), a / c is the product of the factors whose
+    exponent p does not divide, and every factor is in a / c or in c, so the
+    radical is lcm(a / c, radical of c).  Where a' = 0, a = b(X^p) = b(X)^p
+    (x^p = x on F_p), and a has the radical of b."""
+    if len(a) < 2:
+        return [1]
+    da = _fp_trim([i * x for i, x in enumerate(a)][1:], p)
+    if not da:
+        return _fp_radical(a[::p], p)
+    c = _fp_gcd(a, da, p)
+    w = _fp_divmod(a, c, p)[0]
+    r = _fp_radical(c, p)
+    return _fp_divmod(zx_mul(w, r), _fp_gcd(w, r, p), p)[0]
+
+
+def _dedekind_test(field: NumberField, p: int) -> tuple[int, list[int]]:
+    """(m, U) of Dedekind's criterion at p (Cohen, GTM 138, Theorem 6.1.4).
+
+    With g the radical of f mod p, h = (f mod p) / g (both lifted to Z with
+    digits in 0..p-1) and F = (f - g h) / p, let Z = gcd(F, g, h) over F_p and
+    m = deg Z.  Z[beta] is p-maximal iff m = 0.  Otherwise U = (f mod p) / Z,
+    lifted, gives the multiplier ring of the p-radical of Z[beta]:
+    Z[beta] + (U(beta) / p) Z[beta], of index p^m (_dedekind_order).
+    """
+    f = field.poly.coeffs
+    fbar = _fp_trim(f, p)
+    g = _fp_radical(fbar, p)
+    h = _fp_divmod(fbar, g, p)[0]
+    big_f = [(x - y) // p for x, y in zip(f, zx_mul(g, h))]  # f = g h mod p, both monic of degree n
+    z = _fp_gcd(_fp_gcd(big_f, g, p), h, p)
+    return len(z) - 1, _fp_divmod(fbar, z, p)[0]
+
+
+def _dedekind_order(field: NumberField, p: int, m: int, u: list[int]) -> Order:
+    """Z[beta] + (U(beta) / p) Z[beta] for (m, U) = _dedekind_test(field, p)
+    with m > 0: spanned over p by U beta^i, i < m (degree n - m + i < n, so
+    no reduction), and p beta^i.  Each U beta^i / p must be an algebraic
+    integer."""
+    n = field.n
+    rows = [[0] * i + u + [0] * (m - 1 - i) for i in range(m)]
+    if not all(is_algebraic_integer(field_elt(field, row, p)) for row in rows):
+        raise AssertionError(f"Dedekind's order at p={p} is not integral")
+    rows += [[p if j == i else 0 for j in range(n)] for i in range(n)]
+    return make_order(field, p, rows)
+
+
 def _start_order(field: NumberField, start, products=None) -> tuple[Order, list[int]] | None:
     """(order, multiplication table cells) for the fingerprint start = (den,
     HNF rows), or None unless the lattice over den contains Z[beta] and is
@@ -564,15 +655,25 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None, products=No
     strategy saturation starts from the first of start and
     _polygon_start(field, p) that _start_order accepts, else from Z[beta];
     the accepted table serves the first radical round.  Under the enumerate
-    strategy it starts from start if _integral_start accepts it, else from
-    Z[beta], and reads no multiplication table.  An accepted start need not
-    be p-maximal: the rounds saturate it further.
+    strategy it returns Z[beta] when Dedekind's test finds it p-maximal,
+    else starts from start if _integral_start accepts it, else from
+    Dedekind's order, and reads no multiplication table.  An accepted start
+    need not be p-maximal: the rounds saturate it further.
+
+    The enumerate strategy ends with a sweep of every projective point of
+    the trace-form kernel mod p, so it is out of reach (and with it
+    --strategy both) where that kernel is large: at (n, t, p) = (11, 1, 11)
+    Dedekind's order is already 11-maximal, but the stopping sweep faces a
+    9-dimensional kernel, about 2.4e8 points.
     """
     if p_adic_valuation(field.disc, p) < 2:
         return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
     if strategy == "enumerate":
+        m, u = _dedekind_test(field, p)
+        if not m:
+            return power_order(field)
         order = None if start is None else _integral_start(field, start)
-        order = order or power_order(field)
+        order = order or _dedekind_order(field, p, m, u)
         traces = field_trace_powers(field, 2 * field.n - 2)
         while (enlarged := _enumerate_round(field, order, p, traces)) is not None:
             order = enlarged

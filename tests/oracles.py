@@ -19,10 +19,12 @@ the field discriminant is a resultant per field instead of the closed
 form proved once per degree, and the parameter quadratic, the
 specialization, the specialized discriminant, the integer shift and the
 denominator bound each branch on 3 | n themselves instead of reading the
-scale s of m = t/s.
+scale s of m = t/s, and the radical of a polynomial over F_p is the product
+of the monic irreducibles that divide it, found by trial division.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
@@ -591,3 +593,41 @@ def trace_filter_enumerate_chain(field, p: int) -> list:
             return chain
         order = make_order(field, pd, [w] + [[p * x for x in row] for row in order.basis])
         chain.append(order.fingerprint)
+
+
+def _fp_divides(a: list[int], b: list[int], p: int) -> bool:
+    """Whether the monic a divides b over F_p, by long division."""
+    r = [x % p for x in b]
+    da = len(a) - 1
+    for i in range(len(r) - 1, da - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(da + 1):
+                r[i - da + j] = (r[i - da + j] - c * a[j]) % p
+    return not any(r)
+
+
+@lru_cache(maxsize=None)
+def fp_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Every monic irreducible of degree d over F_p: the monic polynomials of
+    degree d that no monic irreducible of degree 1..d/2 divides."""
+    smaller = [phi for k in range(1, d // 2 + 1) for phi in fp_irreducibles(p, k)]
+    monic = (list(tail) + [1] for tail in product(range(p), repeat=d))
+    return tuple(tuple(a) for a in monic if not any(_fp_divides(list(phi), a, p) for phi in smaller))
+
+
+def brute_force_fp_radical(a: list[int], p: int) -> list[int]:
+    """The product over F_p of the distinct monic irreducibles that divide
+    the monic a, each found by trial division of what is left of a by every
+    monic irreducible of degree up to its degree, lowest degree first."""
+    rest = [x % p for x in a]
+    rad = [1]
+    d = 1
+    while d < len(rest):
+        for phi in map(list, fp_irreducibles(p, d)):
+            if _fp_divides(phi, rest, p):
+                rad = [x % p for x in (Poly(rad) * Poly(phi)).coeffs]
+                while _fp_divides(phi, rest, p):
+                    rest = [x % p for x in divmod(Poly(rest), Poly(phi))[0].coeffs]
+        d += 1
+    return rad

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,10 @@ from simplestfields.numberfield import (
 from simplestfields.numutil import factorize, p_adic_valuation
 from simplestfields.orders import (
     STRATEGIES,
+    _dedekind_order,
+    _dedekind_test,
     _enumerate_round,
+    _fp_radical,
     _integral_start,
     _mult_table,
     _polygon_start,
@@ -43,6 +47,7 @@ from simplestfields.poly import Poly
 
 from oracles import (
     brute_force_form_candidates,
+    brute_force_fp_radical,
     brute_force_trace_candidates,
     fraction_shifted_min_poly,
     matrix_trace_powers,
@@ -664,6 +669,100 @@ def test_enumerate_never_consults_the_polygon_start(monkeypatch):
     for n, t, p in ((4, 3, 2), (8, 5, 2), (8, 5, 3)):
         p_maximal_order(number_field(n, t), p, "enumerate")
     period_scan(4, 24, range(-40, 41), strategy="enumerate")
+
+
+def test_fp_radical_matches_trial_division_oracle():
+    """Every monic polynomial over F_2 and F_3 up to degree 6 and over F_5 up
+    to degree 4, then p-th powers of higher degree, where the derivative
+    vanishes and the radical takes a p-th root: (X^2 + X + 1)^2 over F_2 is
+    among the first."""
+    cases = [
+        (list(tail) + [1], p)
+        for p, top in ((2, 6), (3, 6), (5, 4))
+        for d in range(top + 1)
+        for tail in product(range(p), repeat=d)
+    ]
+    powers = [
+        (Poly([1, 1, 0, 1]) ** 4 * Poly([1, 1]) ** 2, 2),
+        (Poly([1, 0, 1]) ** 3 * Poly([1, 1]) ** 2, 3),
+        (Poly([2, 1, 1]) ** 9, 3),
+        (Poly([2, 1]) ** 5, 5),
+        (Poly([2, 0, 1]) ** 5 * Poly([1, 1]), 5),
+        (Poly([1, 0, 0, 1]) ** 10, 5),
+    ]
+    cases += [([x % p for x in a.coeffs], p) for a, p in powers]
+    for a, p in cases:
+        assert _fp_radical(a, p) == brute_force_fp_radical(a, p), (a, p)
+    assert _fp_radical([1, 0, 1, 0, 1], 2) == [1, 1, 1]
+
+
+def test_dedekind_order_is_one_radical_round():
+    """Over every gate-passing |t| <= 40, n = 2..12 and candidate prime,
+    Dedekind's m is 0 exactly where a radical round on Z[beta] finds nothing,
+    which is where the radical p-maximal order has den 1; elsewhere
+    Dedekind's order is that round's order, of index p^m."""
+    cases = [
+        (n, t, p) for n in range(2, 13) for t in range(-40, 41) if parameter_gate(n, t)[0] for p in candidate_primes(n)
+    ]
+    maximal = 0
+    for n, t, p in cases:
+        field = number_field(n, t)
+        m, u = _dedekind_test(field, p)
+        z_beta = power_order(field)
+        enlarged = _radical_round(field, z_beta, p, _mult_table(field.poly.coeffs, 1, z_beta.basis))
+        assert (m == 0) == (enlarged is None) == (p_maximal_order(field, p).den == 1), (n, t, p)
+        if m:
+            o1 = _dedekind_order(field, p, m, u)
+            assert o1 == enlarged and o1.index == p**m, (n, t, p)
+        maximal += m == 0
+    assert (len(cases), maximal) == (1377, 557)
+
+
+def test_enumerate_takes_no_round_where_z_beta_is_p_maximal(monkeypatch):
+    """At (n, t, p) = (7, 29, 7), (7, 3, 7), (6, -38, 2) and (11, -40, 11),
+    p^2 divides the discriminant but Z[beta] is p-maximal: Dedekind's test
+    says so and no enumerate sweep runs (a full sweep of the kernel at
+    (7, 29, 7) took over a second).  Where Z[beta] is not p-maximal, rounds
+    still run."""
+    rounds = [0]
+    real = orders._enumerate_round
+
+    def counted(*args):
+        rounds[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(orders, "_enumerate_round", counted)
+    for n, t, p in ((7, 29, 7), (7, 3, 7), (6, -38, 2), (11, -40, 11)):
+        field = number_field(n, t)
+        assert p_adic_valuation(field.disc, p) >= 2
+        assert p_maximal_order(field, p, "enumerate") == power_order(field)
+    assert rounds[0] == 0
+    field = number_field(4, 3)
+    assert _dedekind_test(field, 2)[0] > 0
+    assert p_maximal_order(field, 2, "enumerate") == p_maximal_order(field, 2)
+    assert rounds[0] > 0
+
+
+def test_radical_never_consults_dedekind(monkeypatch):
+    """Radical saturation, class certificates and radical period scans never
+    read Dedekind's test or order, so in --strategy both the radical
+    stopping test checks every verdict the enumerate strategy takes from
+    Dedekind."""
+
+    def refusing(name):
+        def refused(*args):
+            raise AssertionError(f"the radical strategy called {name}")
+
+        return refused
+
+    for name in ("_dedekind_test", "_dedekind_order", "_fp_radical"):
+        monkeypatch.setattr(orders, name, refusing(name))
+    for n, t in ((6, 1), (7, 29), (8, 5), (12, 1)):
+        field = number_field(n, t)
+        for p in candidate_primes(n):
+            p_maximal_order(field, p, "radical")
+        integral_basis(field)
+    period_scan(8, 432, range(-60, 61))
 
 
 def test_start_order_keeps_the_products_of_a_start(monkeypatch):
