@@ -2,23 +2,27 @@
 
 Every subcommand emits a single JSON document (schema "simplest-fields/1"):
 all integers are serialized as decimal strings and rationals as
-{"num": ..., "den": ...} objects so consumers never overflow.  Exit codes
-and document statuses: 0 "ok", 1 "fail" (verification failure), 2
-"usage-error" (an argument the library rejects with ValueError, or an
---out path that cannot be written, whose document then goes to stdout;
-argparse rejects malformed command lines with exit 2 before any document),
-3 "not-covered" (parameter outside the certified hypotheses), and 4 when
-the reader closes stdout before the whole document is written (no
-traceback; the rest of the document is discarded).
+{"num": ..., "den": ...} objects so consumers never overflow.  The keys are
+schema, command, status, then result or error, then timing_ms; each level
+is indented by 2 spaces, strings are ASCII-escaped as json.dumps escapes
+them, and --out receives the same bytes as stdout.  _json writes the text in
+one pass over the payload: the bytes json.dumps(indent=2) writes for the
+payload's JSON copy.  Exit codes and document statuses: 0 "ok", 1 "fail"
+(verification failure), 2 "usage-error" (an argument the library rejects
+with ValueError, or an --out path that cannot be written, whose document
+then goes to stdout; argparse rejects malformed command lines with exit 2
+before any document), 3 "not-covered" (parameter outside the certified
+hypotheses), and 4 when the reader closes stdout before the whole document
+is written (no traceback; the rest of the document is discarded).
 """
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .family import companion_poly, family_poly, specialize
 from .identities import run_identity_suite
@@ -40,19 +44,36 @@ EXIT_CODES = {"ok": 0, "fail": 1, "usage-error": 2, "not-covered": 3}
 EXIT_OUTPUT_CLOSED = 4
 
 
-def _jsonable(x):
-    if isinstance(x, bool) or x is None or isinstance(x, str):
-        return x
+def _json(x, pad: str = "\n") -> str:
+    """The document text of x, where pad is the line break and indentation
+    of the line x starts on: an int (not a bool) as a quoted decimal, a
+    Fraction as a quoted integer or {"num", "den"}, a dict with str(key)
+    keys in insertion order, and each nesting level 2 spaces deeper."""
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
     if isinstance(x, int):
-        return str(x)
+        return f'"{x}"'
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, float):  # timing_ms
+        return float.__repr__(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return {"num": str(x.numerator), "den": str(x.denominator)}
+            return f'"{x.numerator}"'
+        x = {"num": x.numerator, "den": x.denominator}
+    inner = pad + "  "
     if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
+        if not x:
+            return "{}"
+        # a generator, so no list of the items outlives the join
+        items = (encode_basestring_ascii(str(k)) + ": " + _json(v, inner) for k, v in x.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):  # a basis row or coefficient list, in one join
+            return "[" + inner + '"' + ('",' + inner + '"').join(map(str, x)) + '"' + pad + "]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in x) + pad + "]"
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -66,27 +87,27 @@ def _document(args, status: str, started: float, **fields) -> str:
     message on usage-error and not-covered."""
     doc = {
         "schema": SCHEMA,
-        "command": _jsonable(_command(args)),
+        "command": _command(args),
         "status": status,
-        **{k: _jsonable(v) for k, v in fields.items()},
+        **fields,
         "timing_ms": round((time.monotonic() - started) * 1000, 3),
     }
-    return json.dumps(doc, indent=2)
+    return _json(doc)
 
 
 def cmd_family(args) -> tuple[str, dict]:
     if args.symbolic or args.t is None:
         fam = family_poly(args.n)
         result = {
-            "family_coeffs_in_m": [list(c.coeffs) for c in fam.coeffs],
-            "companion_coeffs": list(companion_poly(args.n).coeffs),
+            "family_coeffs_in_m": [c.coeffs for c in fam.coeffs],
+            "companion_coeffs": companion_poly(args.n).coeffs,
         }
     else:
         sp = specialize(args.n, args.t)
         result = {
             "m_rule": sp.m_rule,
-            "family_coeffs": list(sp.poly.coeffs),
-            "companion_coeffs": list(companion_poly(args.n).coeffs),
+            "family_coeffs": sp.poly.coeffs,
+            "companion_coeffs": companion_poly(args.n).coeffs,
         }
     return "ok", result
 
@@ -105,7 +126,7 @@ def cmd_identities(args) -> tuple[str, dict]:
 def _order_payload(o) -> dict:
     return {
         "den": o.den,
-        "basis": [list(r) for r in o.basis],
+        "basis": o.basis,
         "index": o.index,
         "field_discriminant": order_discriminant(o),
     }
@@ -117,7 +138,7 @@ def cmd_integral_basis(args) -> tuple[str, dict]:
     orders = {s: integral_basis(field, strategy=s, gate=args.gate) for s in strategies}
     agree = len({o.fingerprint for o in orders.values()}) == 1
     result = {
-        "poly_coeffs": list(field.poly.coeffs),
+        "poly_coeffs": field.poly.coeffs,
         "poly_discriminant": field.disc,
         "witness_prime": field.witness,
         "orders": {s: _order_payload(o) for s, o in orders.items()},
@@ -129,7 +150,7 @@ def cmd_integral_basis(args) -> tuple[str, dict]:
 def cmd_dual_basis(args) -> tuple[str, dict]:
     db = dual_basis(number_field(args.n, args.t))
     result = {
-        "matrix": [list(row) for row in db.matrix],
+        "matrix": db.matrix,
         "denominator": db.denominator,
         "denominator_law_ok": db.law_ok,
     }
@@ -141,10 +162,10 @@ def _scan_payload(report) -> dict:
         "modulus": report.modulus,
         "gate": report.gate,
         "consistent": report.consistent,
-        "inconsistent_classes": list(report.inconsistent),
-        "scanned_classes": list(report.scanned_classes),
+        "inconsistent_classes": report.inconsistent,
+        "scanned_classes": report.scanned_classes,
         "classes": {
-            str(r): [{"t": t, "den": fp[0], "basis": [list(row) for row in fp[1]]} for t, fp in members]
+            r: [{"t": t, "den": fp[0], "basis": fp[1]} for t, fp in members]
             for r, members in sorted(report.classes.items())
         },
         "skipped": [{"t": t, "reason": reason} for t, reason in report.skipped],
@@ -164,7 +185,7 @@ def cmd_period_scan(args) -> tuple[str, dict]:
     payload = _scan_payload(report)
     if args.modulus > 1:
         witnesses = minimality_witness(args.n, args.modulus, report)
-        payload["minimality_witnesses"] = {str(p): list(w) if w else None for p, w in witnesses.items()}
+        payload["minimality_witnesses"] = witnesses
     return "ok" if report.consistent else "fail", payload
 
 
@@ -179,7 +200,7 @@ def cmd_verify_tables(args) -> tuple[str, dict]:
         result["dual_denominator_table"] = {
             "ok": check.ok,
             "checked": len(check.entries),
-            "failures": [list(f) for f in check.failures],
+            "failures": check.failures,
         }
         ok = ok and check.ok
 
@@ -223,7 +244,7 @@ def cmd_verify_tables(args) -> tuple[str, dict]:
                 "consistent": report.consistent,
                 "classes_scanned": len(report.scanned_classes),
                 "parameters_scanned": sum(len(m) for m in report.classes.values()),
-                "minimality_witnesses": {p: list(w) if w else None for p, w in witnesses.items()},
+                "minimality_witnesses": witnesses,
             }
             ok = ok and report.consistent
         result["final_period_table"] = scans
@@ -306,7 +327,7 @@ def main(argv=None) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                print(text, file=fh)
             return EXIT_CODES[status]
         except OSError as exc:
             status = "usage-error"

@@ -304,8 +304,9 @@ def period_scan(
     _scan_slice); a rejected parameter is reported in skipped with its
     reason.  The jobs are cut into k = min(workers, len(jobs), CPUs)
     interleaved slices jobs[i::k], each scanned by one pool task with its
-    own start cache: more slices than CPUs would only thin the classes a
-    slice can certify.  The report is deterministic and independent of the
+    own start cache, where CPUs counts the CPUs this process may run on
+    (os.sched_getaffinity, else os.cpu_count()): more slices than CPUs
+    would only thin the classes a slice can certify.  The report is deterministic and independent of the
     worker count.  Raises ValueError for n < 2,
     modulus < 1, an empty range, workers < 1, an unknown gate or strategy, or
     residues that leave no parameter of the range, and
@@ -330,7 +331,10 @@ def period_scan(
     jobs = [t for t in ts if wanted is None or t % modulus in wanted]
     if not jobs:
         raise ValueError("no parameter of the range lies in the chosen residue classes")
-    k = min(workers, len(jobs), os.cpu_count() or 1)
+    # the CPUs this process may run on, not the host's: under an affinity
+    # mask (taskset, a container's cpuset) more slices would share a CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(workers, len(jobs), cpus)
     slices = [(n, modulus, jobs[i::k], gate, strategy) for i in range(k)]
     if len(slices) > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool is used

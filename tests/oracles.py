@@ -19,10 +19,13 @@ the field discriminant is a resultant per field instead of the closed
 form proved once per degree, and the parameter quadratic, the
 specialization, the specialized discriminant, the integer shift and the
 denominator bound each branch on 3 | n themselves instead of reading the
-scale s of m = t/s, and the radical of a polynomial over F_p is the product
-of the monic irreducibles that divide it, found by trial division.
+scale s of m = t/s, the radical of a polynomial over F_p is the product
+of the monic irreducibles that divide it, found by trial division, and the
+CLI document text is the json module's json.dumps(indent=2) of a copy of
+the payload in JSON types, computed again from the parsed command line.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -31,7 +34,14 @@ from math import comb, gcd, lcm
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import adjugate, left_kernel_mod_p
-from simplestfields.numberfield import field_elt, field_trace_powers, is_algebraic_integer, number_field
+from simplestfields.cli import SCHEMA, build_parser
+from simplestfields.numberfield import (
+    ParameterNotCoveredError,
+    field_elt,
+    field_trace_powers,
+    is_algebraic_integer,
+    number_field,
+)
 from simplestfields.numutil import (
     TRIAL_DIVISION_BOUND,
     _brent_rho,
@@ -631,3 +641,44 @@ def brute_force_fp_radical(a: list[int], p: int) -> list[int]:
                     rest = [x % p for x in divmod(Poly(rest), Poly(phi))[0].coeffs]
         d += 1
     return rad
+
+
+def jsonable(x):
+    """x in the JSON types: ints (not bools) as decimal strings, a Fraction
+    as a decimal string or {"num", "den"}, dict keys as str(key), tuples as
+    lists."""
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+def json_document(argv: list[str], timing_ms: float) -> str:
+    """The CLI's stdout for argv, without --out, by the json module: the
+    command's outcome is computed again, every value goes through jsonable,
+    and json.dumps(indent=2) writes the document, with the given timing_ms."""
+    args = build_parser().parse_args(argv)
+    try:
+        status, result = args.func(args)
+        fields = {"result": result}
+    except ParameterNotCoveredError as exc:
+        status, fields = "not-covered", {"error": str(exc)}
+    except ValueError as exc:
+        status, fields = "usage-error", {"error": str(exc)}
+    doc = {
+        "schema": SCHEMA,
+        "command": jsonable({k: v for k, v in vars(args).items() if k not in ("func", "out")}),
+        "status": status,
+        **{k: jsonable(v) for k, v in fields.items()},
+        "timing_ms": timing_ms,
+    }
+    return json.dumps(doc, indent=2) + "\n"

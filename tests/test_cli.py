@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import json_document
 from simplestfields.cli import EXIT_OUTPUT_CLOSED, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +190,10 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _mask_timing(text: str) -> str:
+    return re.sub(r'^  "timing_ms": .*$', '  "timing_ms": ...', text, flags=re.M)
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["family", "--n", "2", "--symbolic", "--out", str(path)])
@@ -195,6 +201,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["schema"] == "simplest-fields/1"
+    for argv in (
+        ["period-scan", "--n", "4", "--modulus", "24", "--t-min", "-20", "--t-max", "20"],
+        ["dual-basis", "--n", "3", "--t", "2"],
+    ):
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.endswith("}\n") and _mask_timing(path.read_text()) == _mask_timing(stdout)
 
 
 _N = st.one_of(st.integers(2, 6), st.integers(-2, 1)).map(str)
@@ -234,14 +249,17 @@ def _fields_checked(doc) -> int:
 @given(argv=_small_argv())
 def test_cli_contract_on_small_arguments(capsys, argv):
     """Every outcome is a documented exit code with a JSON document (argparse's
-    own exit 2 aside), and `ok` means at least one field or entry was checked."""
+    own exit 2 aside) that is byte for byte the json module's text of the
+    same payload, and `ok` means at least one field or entry was checked."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejected the command line
         assert exc.code == 2
         assert capsys.readouterr().out == ""
         return
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json_document(argv, doc["timing_ms"])  # byte for byte the json module's text
     assert code in (0, 1, 2, 3)
     assert doc["status"] == {0: "ok", 1: "fail", 2: "usage-error", 3: "not-covered"}[code]
     if code == 0:

@@ -207,12 +207,14 @@ class _RecordingExecutor:
 
 
 def test_period_scan_pool_is_bounded_by_the_cpus(monkeypatch):
-    """workers=1000 over 61 parameters asks for one process per CPU, not 61
-    one-parameter slices, and the report is the serial one."""
+    """workers=1000 over 61 parameters asks for one process per usable CPU,
+    not 61 one-parameter slices nor one per host CPU, and the report is the
+    serial one; without an affinity mask the CPU count is the bound."""
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(periodicity.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: 8)  # the host's CPUs, not this process's
     monkeypatch.setattr(_RecordingExecutor, "pools", [])
     serial = period_scan(4, 24, range(-30, 31))
     pooled = period_scan(4, 24, range(-30, 31), workers=1000)
@@ -220,9 +222,16 @@ def test_period_scan_pool_is_bounded_by_the_cpus(monkeypatch):
     assert pool["max_workers"] == 2
     assert sorted(t for ts in pool["slices"] for t in ts) == list(range(-30, 31))
     assert pooled.classes == serial.classes and pooled.skipped == serial.skipped
+    monkeypatch.setattr(periodicity.os, "sched_getaffinity", lambda pid: {3})  # pinned to one CPU: no pool
+    assert period_scan(4, 24, range(-30, 31), workers=2).classes == serial.classes
+    assert len(_RecordingExecutor.pools) == 1
+    monkeypatch.delattr(periodicity.os, "sched_getaffinity")  # no affinity mask: the CPU count decides
     monkeypatch.setattr(periodicity.os, "cpu_count", lambda: None)  # unknown: one slice, no pool
     assert period_scan(4, 24, range(-30, 31), workers=1000).classes == serial.classes
     assert len(_RecordingExecutor.pools) == 1
+    monkeypatch.setattr(periodicity.os, "cpu_count", lambda: 2)
+    assert period_scan(4, 24, range(-30, 31), workers=1000).classes == serial.classes
+    assert [pool["max_workers"] for pool in _RecordingExecutor.pools] == [2, 2]
 
 
 def test_minimality_witness():
