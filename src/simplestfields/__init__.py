@@ -18,12 +18,10 @@ from .cyclo import (
 )
 from .family import (
     alternating_binomial_sum,
-    companion_coeff,
     companion_poly,
     disc_quadratic,
     discriminant_formula,
     discriminant_formula_t,
-    family_coeff,
     family_poly,
     family_poly_at,
     specialize,
@@ -71,12 +69,10 @@ __all__ = [
     "moebius_matrix_order",
     "sqrt_minus_three",
     "alternating_binomial_sum",
-    "companion_coeff",
     "companion_poly",
     "disc_quadratic",
     "discriminant_formula",
     "discriminant_formula_t",
-    "family_coeff",
     "family_poly",
     "family_poly_at",
     "specialize",

@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .family import companion_poly, family_poly, specialize
+from .family import companion_poly, disc_quadratic, family_poly, specialize
 from .identities import run_identity_suite
 from .numberfield import ParameterNotCoveredError, number_field
 from .orders import integral_basis, order_discriminant, period_length_bound
@@ -184,7 +184,7 @@ def cmd_period_scan(args) -> tuple[str, dict]:
     )
     payload = _scan_payload(report)
     if args.modulus > 1:
-        witnesses = minimality_witness(args.n, args.modulus, report)
+        witnesses = minimality_witness(args.modulus, report)
         payload["minimality_witnesses"] = witnesses
     return "ok" if report.consistent else "fail", payload
 
@@ -192,8 +192,15 @@ def cmd_period_scan(args) -> tuple[str, dict]:
 def cmd_verify_tables(args) -> tuple[str, dict]:
     result: dict = {}
     ok = True
-    if args.scope in ("final", "all") and args.classes_12 < 1:
-        raise ValueError("--classes-12 must be at least 1")  # before the scans of the smaller degrees
+    if args.scope in ("final", "all"):  # before the scans of the smaller degrees
+        if args.classes_12 < 1:
+            raise ValueError("--classes-12 must be at least 1")
+        # 9 divides 1944, so Q(t) = Q(r) mod 9 for t = r mod 1944: 9 | Q(r) leaves class r empty
+        if all(disc_quadratic(12, r) % 9 == 0 for r in range(args.classes_12)):
+            raise ValueError(
+                f"--classes-12 {args.classes_12} scans only residues r mod {FINAL_PERIOD_TABLE[12]} "
+                "with 9 | Q(r), whose classes the strict gate leaves empty"
+            )
 
     if args.scope in ("delta", "all"):
         check = check_dual_denominator_table(range(2, 13), args.samples)
@@ -238,7 +245,7 @@ def cmd_verify_tables(args) -> tuple[str, dict]:
                 workers=args.workers,
                 residues=residues,
             )
-            witnesses = minimality_witness(n, modulus, report)
+            witnesses = minimality_witness(modulus, report)
             scans[n] = {
                 "modulus": modulus,
                 "consistent": report.consistent,

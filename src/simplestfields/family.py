@@ -27,20 +27,6 @@ def _pencil(n: int) -> list[tuple[int, int]]:
     return [(comb(n, i) * _BASE_TABLE[(n - i) % 6], comb(n, i) * _COMPANION_TABLE[(n - i) % 6]) for i in range(n + 1)]
 
 
-def family_coeff(i: int) -> Poly:
-    """Coefficient table value for the family polynomial (a polynomial in m)."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    return Poly([_BASE_TABLE[i % 6], _COMPANION_TABLE[i % 6]])
-
-
-def companion_coeff(i: int) -> int:
-    """Coefficient table value for the companion polynomial."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    return _COMPANION_TABLE[i % 6]
-
-
 def family_poly(n: int) -> Poly:
     """Degree-n family polynomial, coefficients = polynomials in the parameter m."""
     return Poly([Poly([g, r]) for g, r in _pencil(n)])

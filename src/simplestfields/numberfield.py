@@ -105,12 +105,13 @@ def _char_coeffs(field: NumberField, w):
     conjugates of the integer numerator w, one at a time.
 
     The power sums s_k = Tr(w^k) come from w^k mod f, n - 1 products in
-    all, and the cached traces of beta^i; Newton's identities
+    all, and the cached traces of beta^i, read from the field's one table
+    of beta^0..beta^(2n-2) that trace forms read too; Newton's identities
     k * e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) s_i then give e_k, and every
     division by k must be exact.
     """
     f = list(field.poly.coeffs)
-    traces = field_trace_powers(field, field.n - 1)
+    traces = field_trace_powers(field, 2 * field.n - 2)
     w = list(w)
     e = [1]
     s = []

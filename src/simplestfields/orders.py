@@ -38,44 +38,40 @@ p-maximality for every s.  A period scan certifies each large enough class
 with it (see periodicity).
 
 The saturation loop (_saturate) may start from an order other than
-Z[beta].  It tries, in this order:
-  * the p-maximal order of another parameter: a period scan passes the one
-    it found last in the same residue class when it saturates that class
-    member by member (a class too small to certify, or one whose
-    certificate fails);
-  * under the radical strategy, Ore's lattice from the first-order Newton
-    polygon of f at p (_polygon_start; Montes-Nart, J. Algebra 146, 1992),
-    which is already the p-maximal order when f is p-regular.  Where it
-    exists, that holds at every sampled (n, p) but (10, 2) and (12, 3),
-    where it may be a proper sub-order.  The enumerate strategy reads no
-    Newton polygon.
-Such a start is a make_order fingerprint (den, HNF) with den a power of p.
-It is used only when the lattice over den contains den * beta^i for every
-i and is closed under all n(n+1)/2 products of its basis rows under the
-defining polynomial: it is then an order of p-power index over Z[beta], so
-it lies in the p-maximal order.  The enumerate strategy asks instead that
-each basis row over den be an algebraic integer (_integral_start), which
-puts the lattice in the p-maximal order as well; it never forms a
-multiplication table.
-Those products are exactly the multiplication table, so an accepted start
-hands its table to the first radical round, which then needs no polynomial
-product.  Otherwise radical saturation starts from Z[beta], and enumerate
-saturation as below.  Either way the unchanged round loop runs until a
-round finds nothing to add, so every p-maximal order other than an
-enumerate Z[beta] passes the same stopping test (Cohen, GTM 138, 6.1: an
-order is p-maximal iff the multiplier ring of its p-radical is the order
-itself), exactness never rests on the polygon theory, and the canonical
-HNF makes the result independent of the start.
+Z[beta]: the p-maximal order of another parameter, which a period scan
+transports along a residue class that it saturates member by member (a
+class too small to certify, or one whose certificate fails); under the
+radical strategy, Ore's lattice from the first-order Newton polygon of f at
+p (_polygon_start; Montes-Nart, J. Algebra 146, 1992), which is already the
+p-maximal order when f is p-regular (where it exists, that holds at every
+sampled (n, p) but (10, 2) and (12, 3), where it may be a proper
+sub-order); under the enumerate strategy, Dedekind's order below.  The
+docstring of _saturate states which starts each strategy tries, in which
+order.  A transported or polygon start is a make_order fingerprint (den,
+HNF) with den a power of p.  The radical strategy uses it only when the
+lattice over den contains den * beta^i for every i and is closed under all
+n(n+1)/2 products of its basis rows under the defining polynomial: it is
+then an order of p-power index over Z[beta], so it lies in the p-maximal
+order.  Those products are exactly the multiplication table, so an accepted
+start hands its table to the first radical round, which then needs no
+polynomial product.  The enumerate strategy asks instead that each basis
+row over den be an algebraic integer (_integral_start), which puts the
+lattice in the p-maximal order as well; it never forms a multiplication
+table.  Either way the unchanged round loop runs until a round finds
+nothing to add, so every p-maximal order other than an enumerate Z[beta]
+passes the same stopping test (Cohen, GTM 138, 6.1: an order is p-maximal
+iff the multiplier ring of its p-radical is the order itself), exactness
+never rests on the polygon theory, and the canonical HNF makes the result
+independent of the start.
 
 The enumerate strategy first asks Dedekind's criterion (Cohen, GTM 138,
 Theorem 6.1.4; _dedekind_test), read off the factors of f mod p.  Where it
 finds Z[beta] p-maximal, saturation returns Z[beta] without a sweep.
-Otherwise, without an accepted transported start, it starts from Dedekind's
-order Z[beta] + (U(beta) / p) Z[beta] (_dedekind_order), the multiplier ring
-of the p-radical of Z[beta], whose generators over p must be algebraic
-integers, and the rounds and stopping sweep run as before.  The radical
-strategy reads neither, so in --strategy both its own stopping test checks
-every verdict of Dedekind's test.
+Otherwise Dedekind's order Z[beta] + (U(beta) / p) Z[beta]
+(_dedekind_order) is the multiplier ring of the p-radical of Z[beta], whose
+generators over p must be algebraic integers.  The radical strategy reads
+neither, so in --strategy both its own stopping test checks every verdict
+of Dedekind's test.
 
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
@@ -182,9 +178,10 @@ def order_discriminant(o: Order) -> int:
 
 def _basis_products(basis) -> list[list[int]]:
     """The products basis_i * basis_j for i <= j, row by row, as polynomials
-    not yet reduced mod any f: the part of a table that is free of f."""
-    n = len(basis)
-    return [zx_mul(basis[i], basis[j]) for i in range(n) for j in range(i, n)]
+    not yet reduced mod any f: the part of a table that is free of f.  An
+    HNF row i is 0 past column i, so it is multiplied without that tail."""
+    rows = [row[: i + 1] for i, row in enumerate(basis)]
+    return [zx_mul(a, b) for i, a in enumerate(rows) for b in rows[i:]]
 
 
 def _mult_table(f, den: int, basis, products=None) -> list[int]:
@@ -196,8 +193,8 @@ def _mult_table(f, den: int, basis, products=None) -> list[int]:
     The product of two numerators over den is a numerator over den^2, so its
     coordinates solve c . (den * basis) = basis_i * basis_j mod f.  products
     is _basis_products(basis) when the caller tables one lattice under many
-    polynomials.  Raises ValueError when a product is not in the lattice
-    over den.
+    polynomials (class_certificate).  Raises ValueError when a product is
+    not in the lattice over den.
     """
     if products is None:
         products = _basis_products(basis)
@@ -292,7 +289,7 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_combine(c, rad, p)) for c in left_kernel_mod_p(conditions, p))
 
 
-def _radical_round(field: NumberField, order: Order, p: int, cells) -> Order | None:
+def _radical_round(order: Order, p: int, cells) -> Order | None:
     """One multiplier-ring step on the multiplication table of the order;
     None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
     The order is p-maximal iff the multiplier kernel is empty (Cohen, 6.1): a
@@ -303,14 +300,14 @@ def _radical_round(field: NumberField, order: Order, p: int, cells) -> Order | N
     returns to the numerators y . basis, which with p * basis generate the
     enlarged order over p * den.
     """
-    n = field.n
+    n = order.n
     kernel = _radical_kernel(p, n, _table_key(p, cells))
     if not kernel:
         return None
     basis = order.basis
     rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
     rows += [[p * x for x in row] for row in basis]
-    enlarged = make_order(field, p * order.den, rows)
+    enlarged = make_order(order.field, p * order.den, rows)
     if enlarged.fingerprint == order.fingerprint:
         raise AssertionError(f"a nonempty multiplier kernel did not enlarge the order (p={p})")
     return enlarged
@@ -323,14 +320,15 @@ def _projective_vectors(n: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _trace_candidates(order: Order, p: int, traces):
+def _trace_candidates(order: Order, p: int):
     """Numerators w = v . basis, v projective over F_p, for which x = w /
     (p * den) has Tr(x * e_k) and the second elementary symmetric function
     e_2(x) integral, e_k = basis_k / den, in the order of
     _projective_vectors(n, p), generated lazily.  Every integral x passes.
 
     Each e_k is integral (the lattice is spanned by algebraic integers), so
-    S_ij = Tr(basis_i * beta^j) / den and the lattice's trace form
+    S_ij = Tr(basis_i * beta^j) / den, summed from the field's traces of
+    beta^0..beta^(2n-2), and the lattice's trace form
     G_ik = Tr(e_i * e_k) = sum_j S_ij * basis_k[j] / den are integers, and
     Tr(x * e_k) = sum_i v_i G_ik / p: the surviving v are the projective
     points of the left kernel of G mod p.  Z[beta] lies in the lattice, so
@@ -351,6 +349,7 @@ def _trace_candidates(order: Order, p: int, traces):
     n = order.n
     den, basis = order.den, order.basis
     rows = [row[: i + 1] for i, row in enumerate(basis)]  # an HNF row i is 0 past column i
+    traces = field_trace_powers(order.field, 2 * n - 2)
     windows = [traces[j : j + n] for j in range(n)]
     pairing = []  # S
     for row in rows:
@@ -381,7 +380,7 @@ def _trace_candidates(order: Order, p: int, traces):
         yield [sum(map(mul, v, column)) for column in zip(*basis)]
 
 
-def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order | None:
+def _enumerate_round(order: Order, p: int) -> Order | None:
     """One sweep over the candidates of _trace_candidates; returns the
     lattice enlarged by the first integral candidate, or None when there is
     none.  The enlarged lattice contains Z[beta] but need not be closed
@@ -393,8 +392,8 @@ def _enumerate_round(field: NumberField, order: Order, p: int, traces) -> Order 
     only is_algebraic_integer accepts.  So the sweep finds the same first
     integral candidate as a sweep over that larger kernel, and every round,
     hence the whole chain of lattices, is the same."""
-    pd = p * order.den
-    for w in _trace_candidates(order, p, traces):
+    field, pd = order.field, p * order.den
+    for w in _trace_candidates(order, p):
         if is_algebraic_integer(field_elt(field, w, pd)):
             rows = [w] + [[p * x for x in row] for row in order.basis]
             return make_order(field, pd, rows)
@@ -514,12 +513,13 @@ def _dedekind_test(field: NumberField, p: int) -> tuple[int, list[int]]:
     return len(z) - 1, _fp_divmod(fbar, z, p)[0]
 
 
-def _dedekind_order(field: NumberField, p: int, m: int, u: list[int]) -> Order:
+def _dedekind_order(field: NumberField, p: int, u: list[int]) -> Order:
     """Z[beta] + (U(beta) / p) Z[beta] for (m, U) = _dedekind_test(field, p)
-    with m > 0: spanned over p by U beta^i, i < m (degree n - m + i < n, so
-    no reduction), and p beta^i.  Each U beta^i / p must be an algebraic
-    integer."""
+    with m = n - deg U > 0: spanned over p by U beta^i, i < m (degree
+    n - m + i < n, so no reduction), and p beta^i.  Each U beta^i / p must be
+    an algebraic integer."""
     n = field.n
+    m = n + 1 - len(u)
     rows = [[0] * i + u + [0] * (m - 1 - i) for i in range(m)]
     if not all(is_algebraic_integer(field_elt(field, row, p)) for row in rows):
         raise AssertionError(f"Dedekind's order at p={p} is not integral")
@@ -527,20 +527,15 @@ def _dedekind_order(field: NumberField, p: int, m: int, u: list[int]) -> Order:
     return make_order(field, p, rows)
 
 
-def _start_order(field: NumberField, start, products=None) -> tuple[Order, list[int]] | None:
+def _start_order(field: NumberField, start) -> tuple[Order, list[int]] | None:
     """(order, multiplication table cells) for the fingerprint start = (den,
     HNF rows), or None unless the lattice over den contains Z[beta] and is
-    closed under multiplication.  products is None or a list that holds the
-    _basis_products of the rows, filled here when it is empty: the products
-    are free of f, so a caller that tries one start at many parameters keeps
-    the list next to it."""
+    closed under multiplication."""
     den, basis = start
     if not _contains_power_basis(den, basis):
         return None
-    if products is not None and not products:
-        products += _basis_products(basis)
     try:
-        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis, products)
+        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis)
     except ValueError:  # a product is outside the lattice over den
         return None
 
@@ -646,19 +641,20 @@ def class_certificate(
     return True, "ok"
 
 
-def _saturate(field: NumberField, p: int, strategy: str, start=None, products=None) -> Order:
+def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     """p_maximal_order for a strategy already known to be valid.
 
     start is None or the fingerprint of a p-maximal order of the same degree
-    (so canonical, with den a power of p), and products None or the list
-    that _start_order keeps its basis products in.  Under the radical
-    strategy saturation starts from the first of start and
-    _polygon_start(field, p) that _start_order accepts, else from Z[beta];
-    the accepted table serves the first radical round.  Under the enumerate
-    strategy it returns Z[beta] when Dedekind's test finds it p-maximal,
-    else starts from start if _integral_start accepts it, else from
-    Dedekind's order, and reads no multiplication table.  An accepted start
-    need not be p-maximal: the rounds saturate it further.
+    (so canonical, with den a power of p).  This is the one statement of
+    the order in which each strategy tries its starts; saturation runs from
+    the first one accepted:
+      * radical: start, then _polygon_start(field, p), whichever _start_order
+        accepts first, else Z[beta]; the accepted table serves the first
+        radical round;
+      * enumerate: Z[beta], returned with no round, when Dedekind's test
+        finds it p-maximal; else start, if _integral_start accepts it; else
+        Dedekind's order.  No multiplication table is read.
+    An accepted start need not be p-maximal: the rounds saturate it further.
 
     The enumerate strategy ends with a sweep of every projective point of
     the trace-form kernel mod p, so it is out of reach (and with it
@@ -672,19 +668,17 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None, products=No
         m, u = _dedekind_test(field, p)
         if not m:
             return power_order(field)
-        order = None if start is None else _integral_start(field, start)
-        order = order or _dedekind_order(field, p, m, u)
-        traces = field_trace_powers(field, 2 * field.n - 2)
-        while (enlarged := _enumerate_round(field, order, p, traces)) is not None:
+        order = (None if start is None else _integral_start(field, start)) or _dedekind_order(field, p, u)
+        while (enlarged := _enumerate_round(order, p)) is not None:
             order = enlarged
         return order
-    accepted = None if start is None else _start_order(field, start, products)
+    accepted = None if start is None else _start_order(field, start)
     if accepted is None:
         polygon = _polygon_start(field, p)
         accepted = None if polygon is None else _start_order(field, polygon)
     order, cells = accepted or (power_order(field), None)
     while True:
-        enlarged = _radical_round(field, order, p, cells or _mult_table(field.poly.coeffs, order.den, order.basis))
+        enlarged = _radical_round(order, p, cells or _mult_table(field.poly.coeffs, order.den, order.basis))
         if enlarged is None:
             return order
         order, cells = enlarged, None

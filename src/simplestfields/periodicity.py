@@ -225,9 +225,8 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     certificate builds d + 2 <= n + 1 sample tables, fewer as v grows (see
     orders.class_certificate); the threshold stays at n members whatever d
     is.  Other classes are saturated member by member, from the last
-    p-maximal order with den > 1 of the class when p^v > 1; that start keeps
-    the list its basis products are formed into on first use (they are free
-    of t), until a member's order differs from it.
+    p-maximal order with den > 1 of the class when p^v > 1 (see
+    orders._saturate for the starts it tries).
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
     already checked the gate and strategy names.
     """
@@ -235,7 +234,7 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     prime_parts = {p: p ** p_adic_valuation(modulus, p) for p in candidate_primes(n)}
     members = Counter((p, t % part) for t in ts for p, part in prime_parts.items())
     certified: dict[tuple[int, int], Order | None] = {}  # None: not certifiable
-    starts: dict[tuple[int, int], tuple[Fingerprint, list]] = {}  # a start and the list of its t-free products
+    starts: dict[tuple[int, int], Fingerprint] = {}
     joins: dict[tuple[Fingerprint, ...], Fingerprint] = {}
     out = []
     skipped = []
@@ -251,12 +250,11 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
                 key = (p, t % part)
                 o = certified.get(key)
                 if o is None:
-                    start, products = starts.get(key, (None, None))
-                    o = _saturate(field, p, strategy, start, products)
+                    o = _saturate(field, p, strategy, starts.get(key))
                     if key not in certified and strategy == "radical" and members[key] > n:
                         certified[key] = o if class_certificate(n, p, part, t, o.fingerprint, gate)[0] else None
-                    if part > 1 and o.den > 1 and o.fingerprint != start:
-                        starts[key] = (o.fingerprint, [])
+                    if part > 1 and o.den > 1:
+                        starts[key] = o.fingerprint
                 orders.append(o)
             parts = tuple(o.fingerprint for o in orders)
             if parts not in joins:
@@ -304,10 +302,11 @@ def period_scan(
     _scan_slice); a rejected parameter is reported in skipped with its
     reason.  The jobs are cut into k = min(workers, len(jobs), CPUs)
     interleaved slices jobs[i::k], each scanned by one pool task with its
-    own start cache, where CPUs counts the CPUs this process may run on
-    (os.sched_getaffinity, else os.cpu_count()): more slices than CPUs
-    would only thin the classes a slice can certify.  The report is deterministic and independent of the
-    worker count.  Raises ValueError for n < 2,
+    own certificates and start fingerprints, where CPUs counts the CPUs
+    this process may run on (os.sched_getaffinity, else os.cpu_count()):
+    more slices than CPUs would only thin the classes a slice can certify.
+    The report is deterministic and independent of the worker count.
+    Raises ValueError for n < 2,
     modulus < 1, an empty range, workers < 1, an unknown gate or strategy, or
     residues that leave no parameter of the range, and
     ParameterNotCoveredError when the gate rejects every remaining parameter,
@@ -366,7 +365,7 @@ def period_scan(
     )
 
 
-def minimality_witness(n: int, n0: int, scan: PeriodReport) -> dict[int, tuple[int, int] | None]:
+def minimality_witness(n0: int, scan: PeriodReport) -> dict[int, tuple[int, int] | None]:
     """For each prime p dividing the candidate period n0, a pair (t, t') with
     t = t' modulo n0/p whose fingerprints differ; None when the scanned data
     does not refute the smaller modulus (reported as not-refuted, never proof)."""

@@ -11,8 +11,8 @@ the rational parameter, the parameter gate factorizes once per test,
 factorization trial-divides by every prime up to the fixed bound whatever
 the input, the family dual denominator peels the parameter quadratic
 off an interpolated determinant and every adjugate entry, the family
-polynomial comes from its table of polynomials in m instead of the integer
-pencil, the minimality witness compares each parameter with every
+polynomial and its companion come from the table of polynomials in m
+instead of the integer pencil, the minimality witness compares each parameter with every
 earlier member of its class, the class certificate interpolates every table
 cell to its full degree n - 1 in the class step from n + 1 sample tables,
 the field discriminant is a resultant per field instead of the closed
@@ -413,6 +413,20 @@ def peeled_dual_denominator(n: int) -> tuple[int, int]:
 
 # The family coefficient table with entries polynomials in m: 1, -m, -m-1, -1, m, m+1.
 FAMILY_TABLE = (Poly([1]), Poly([0, -1]), Poly([-1, -1]), Poly([-1]), Poly([0, 1]), Poly([1, 1]))
+
+
+def family_coeff(i: int) -> Poly:
+    """Entry i of the 6-periodic family coefficient table, a polynomial in m:
+    the coefficient of X^(n-i) in the family polynomial over C(n, i)."""
+    if i < 0:
+        raise ValueError("index must be nonnegative")
+    return FAMILY_TABLE[i % 6]
+
+
+def companion_coeff(i: int) -> int:
+    """Entry i of the companion coefficient table: the coefficient of m in
+    family_coeff(i)."""
+    return family_coeff(i)[1]
 
 
 def table_family_poly(n: int) -> Poly:

@@ -251,7 +251,7 @@ def test_criterion_9_final_period_table(period_scans):
     ok = ok and all(len(m) >= 3 for m in scans[12].classes.values())
     # minimality witnesses for every prime divisor of the period
     for n in (2, 4, 5, 6, 8):
-        witnesses = minimality_witness(n, FINAL_PERIOD_TABLE[n], scans[n])
+        witnesses = minimality_witness(FINAL_PERIOD_TABLE[n], scans[n])
         ok = ok and all(pair is not None for pair in witnesses.values())
     small = sum(timing[n] for n in (2, 3, 4, 5, 6, 9))
     ok = ok and small < 600 and timing[8] < 1800 and timing[12] < 7200

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import json_document
+from simplestfields import cli
 from simplestfields.cli import EXIT_OUTPUT_CLOSED, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,6 +106,25 @@ def test_exit_code_and_document(capsys, argv, code, status):
     assert doc["timing_ms"] >= 0
     assert ("error" in doc) == (code >= 2)
     assert ("result" in doc) == (code < 2)
+
+
+@pytest.mark.parametrize("scope", ["final", "all"])
+def test_classes_12_with_no_populated_class_is_a_usage_error(capsys, monkeypatch, scope):
+    """--classes-12 1 scans only residue 0 mod 1944, where 3 | t forces
+    9 | Q(t), so the strict gate passes none of its parameters: a usage
+    error, raised before any table check or scan.  Residue 1 has 9 not
+    dividing Q(1), so --classes-12 2 goes on to the checks."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a check ran before the usage error")
+
+    monkeypatch.setattr(cli, "period_scan", refused)
+    monkeypatch.setattr(cli, "check_dual_denominator_table", refused)
+    code, doc = run_cli(capsys, ["verify-tables", "--scope", scope, "--t-max", "10", "--classes-12", "1"])
+    assert (code, doc["status"]) == (2, "usage-error")
+    assert "9 | Q(r)" in doc["error"]
+    with pytest.raises(AssertionError, match="a check ran"):
+        main(["verify-tables", "--scope", scope, "--t-max", "10", "--classes-12", "2"])
 
 
 def test_error_documents_go_to_out_file(tmp_path, capsys):

@@ -10,13 +10,11 @@ from simplestfields.family import (
     check_quadratic_remainder_scaling,
     check_recursions,
     check_transform_identity,
-    companion_coeff,
     companion_poly,
     disc_quadratic,
     discriminant_formula,
     discriminant_formula_t,
     discriminant_front,
-    family_coeff,
     family_poly,
     family_poly_at,
     parameter_scale,
@@ -29,6 +27,8 @@ from simplestfields.poly import Poly, resultant
 
 from oracles import (
     FAMILY_TABLE,
+    companion_coeff,
+    family_coeff,
     table_family_poly,
     table_family_poly_at,
     table_specialize,

@@ -395,8 +395,9 @@ def test_trace_candidates_match_brute_force_filter():
     after one enlargement; at n = 5 along the whole enumerate chain of p = 3
     and p = 5, the p-maximal order included."""
 
-    def check(f, order, p, traces):
-        candidates = list(_trace_candidates(order, p, traces))
+    def check(f, order, p):
+        traces = field_trace_powers(f, 2 * f.n - 2)
+        candidates = list(_trace_candidates(order, p))
         assert candidates == brute_force_form_candidates(order, p, traces), (f.n, f.t, p)
         old = list(brute_force_trace_candidates(order, p, traces))
         rest = iter(old)
@@ -408,24 +409,22 @@ def test_trace_candidates_match_brute_force_filter():
     kept = swept = 0
     for n, t in [(6, 1), (6, 4), (8, 4), (8, -8)]:
         f = number_field(n, t)
-        traces = field_trace_powers(f, 2 * n - 2)
         for p in (2, 3):
             order = power_order(f)
             for _ in range(2):
-                candidates, old = check(f, order, p, traces)
+                candidates, old = check(f, order, p)
                 assert candidates, (n, t, p)
                 kept, swept = kept + len(candidates), swept + len(old)
-                order = _enumerate_round(f, order, p, traces)
+                order = _enumerate_round(order, p)
                 assert order is not None, (n, t, p)
     assert kept < swept
     for n, t in [(5, -50), (5, -52)]:
         f = number_field(n, t)
-        traces = field_trace_powers(f, 2 * n - 2)
         for p in (3, 5):
             order, enlargements = power_order(f), 0
             while order is not None:
-                check(f, order, p, traces)
-                order = _enumerate_round(f, order, p, traces)
+                check(f, order, p)
+                order = _enumerate_round(order, p)
                 enlargements += order is not None
             assert enlargements >= 1, (n, t, p)
 
@@ -444,10 +443,9 @@ def test_enumerate_chain_matches_the_trace_filter_chain():
         cases += [(n, t, p) for t in ts for p in candidate_primes(n) if p**n <= 3**9]
     for n, t, p in cases:
         f = number_field(n, t)
-        traces = field_trace_powers(f, 2 * n - 2)
         order = power_order(f)
         chain = [order.fingerprint]
-        while (order := _enumerate_round(f, order, p, traces)) is not None:
+        while (order := _enumerate_round(order, p)) is not None:
             chain.append(order.fingerprint)
         assert chain == trace_filter_enumerate_chain(f, p), (n, t, p)
 
@@ -455,14 +453,19 @@ def test_enumerate_chain_matches_the_trace_filter_chain():
 def test_start_order_checks():
     """A start lattice is used only when it contains Z[beta] and is closed
     under products; an accepted start comes with its multiplication table,
-    the cells T[i][j] with i <= j, row by row."""
+    the cells T[i][j] with i <= j, row by row.  The table is checked cell by
+    cell against full-length products at n = 4, and at n = 12 on a
+    3-maximal order with den 3^k, whose rows end in long runs of zeros."""
     f = number_field(4, 3)
-    n = f.n
-    poly = list(f.poly.coeffs)
     o = p_maximal_order(f, 2)
     assert o.den == 2
-    for start in (o, power_order(f)):
-        order, table = _start_order(f, start.fingerprint)
+    f12 = number_field(12, GATE_PASSING_T[12][0])
+    o12 = p_maximal_order(f12, 3)
+    assert o12.den > 1 and o12.den == 3 ** p_adic_valuation(o12.den, 3)
+    for field, start in ((f, o), (f, power_order(f)), (f12, o12)):
+        n = field.n
+        poly = list(field.poly.coeffs)
+        order, table = _start_order(field, start.fingerprint)
         assert order == start
         den, basis = order.den, order.basis
         assert len(table) == n * n * (n + 1) // 2
@@ -472,7 +475,8 @@ def test_start_order_checks():
                 cell = next(cells)
                 product = [sum(c * row[k] for c, row in zip(cell, basis)) for k in range(n)]
                 want = zx_divexact(zx_mulmod(basis[i], basis[j], poly), den)
-                assert product == want + [0] * (n - len(want)), (i, j)
+                assert product == want + [0] * (n - len(want)), (n, i, j)
+    n = f.n
     diag = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     low = [row[:] for row in diag]
     low[1] = [1, 4, 0, 0]
@@ -511,7 +515,7 @@ def _table(field, order):
 def _radical_chain(field, p):
     """Orders from Z[beta] to the p-maximal order, one radical round apart."""
     chain = [power_order(field)]
-    while (nxt := _radical_round(field, chain[-1], p, _table(field, chain[-1]))) is not None:
+    while (nxt := _radical_round(chain[-1], p, _table(field, chain[-1]))) is not None:
         chain.append(nxt)
     return chain
 
@@ -525,7 +529,7 @@ def _walk_against_oracle(field, p, order, table, cold):
     while True:
         if cold:
             _radical_kernel.cache_clear()
-        nxt = _radical_round(field, order, p, table)
+        nxt = _radical_round(order, p, table)
         assert nxt == power_basis_radical_round(field, order, p), (field.n, field.t, p, rounds)
         if nxt is None:
             return rounds
@@ -709,10 +713,10 @@ def test_dedekind_order_is_one_radical_round():
         field = number_field(n, t)
         m, u = _dedekind_test(field, p)
         z_beta = power_order(field)
-        enlarged = _radical_round(field, z_beta, p, _mult_table(field.poly.coeffs, 1, z_beta.basis))
+        enlarged = _radical_round(z_beta, p, _mult_table(field.poly.coeffs, 1, z_beta.basis))
         assert (m == 0) == (enlarged is None) == (p_maximal_order(field, p).den == 1), (n, t, p)
         if m:
-            o1 = _dedekind_order(field, p, m, u)
+            o1 = _dedekind_order(field, p, u)
             assert o1 == enlarged and o1.index == p**m, (n, t, p)
         maximal += m == 0
     assert (len(cases), maximal) == (1377, 557)
@@ -763,29 +767,6 @@ def test_radical_never_consults_dedekind(monkeypatch):
             p_maximal_order(field, p, "radical")
         integral_basis(field)
     period_scan(8, 432, range(-60, 61))
-
-
-def test_start_order_keeps_the_products_of_a_start(monkeypatch):
-    """The basis products of a start are free of t: _start_order forms them
-    once into the caller's list, and at another member of the class it reads
-    that list and gives the same table as without it."""
-    n, p = 8, 2
-    t0, t1 = [t for t in GATE_PASSING_T[n] if t % 16 == GATE_PASSING_T[n][0] % 16][:2]
-    start = p_maximal_order(number_field(n, t0), p).fingerprint
-    expected = [_start_order(number_field(n, t), start) for t in (t0, t1)]
-    assert all(expected)
-    calls = [0]
-    real = orders._basis_products
-
-    def counted(basis):
-        calls[0] += 1
-        return real(basis)
-
-    monkeypatch.setattr(orders, "_basis_products", counted)
-    products = []
-    assert [_start_order(number_field(n, t), start, products) for t in (t0, t1)] == expected
-    assert calls[0] == 1
-    assert products == real(start[1])
 
 
 def test_integrality_test_takes_n_minus_one_products(monkeypatch):

@@ -236,7 +236,7 @@ def test_period_scan_pool_is_bounded_by_the_cpus(monkeypatch):
 
 def test_minimality_witness():
     rep = period_scan(2, 4, range(-50, 51))
-    w = minimality_witness(2, 4, rep)
+    w = minimality_witness(4, rep)
     assert set(w) == {2}
     pair = w[2]
     assert pair is not None
@@ -246,7 +246,7 @@ def test_minimality_witness():
     for members in rep.classes.values():
         fp.update(dict(members))
     assert fp[t0] != fp[t1]
-    assert minimality_witness(3, 1, rep) == {}
+    assert minimality_witness(1, rep) == {}
 
 
 @pytest.mark.parametrize(
@@ -259,7 +259,7 @@ def test_minimality_witness_matches_nested_oracle(n, modulus, bound):
     rep = period_scan(n, modulus, range(-bound, bound + 1))
     assert rep.consistent == (modulus not in (2, 216))
     for n0 in (modulus, 2 * modulus, 3 * modulus):
-        assert minimality_witness(n, n0, rep) == nested_minimality_witness(n0, rep), n0
+        assert minimality_witness(n0, rep) == nested_minimality_witness(n0, rep), n0
 
 
 def test_dual_denominator_front_and_period_bounds():
@@ -464,20 +464,25 @@ def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
     """At modulus 1 every class would share one start per prime, which mostly
     fails the checks, so the scan passes no start to _saturate.  At modulus 4
     the classes of |t| <= 11 have at most n = 6 members, too few to certify,
-    so each member saturates from the start of its class."""
+    so each member saturates from the start of its class.  A start is a
+    (den, basis) fingerprint with den a power of p."""
     starts = []
     real = periodicity._saturate
 
-    def recorded(field, p, strategy, start=None, products=None):
-        starts.append(start)
-        return real(field, p, strategy, start, products)
+    def recorded(field, p, strategy, start=None):
+        starts.append((p, start))
+        return real(field, p, strategy, start)
 
     monkeypatch.setattr(periodicity, "_saturate", recorded)
     period_scan(6, 1, range(-30, 31))
-    assert starts and all(start is None for start in starts)
+    assert starts and all(start is None for _, start in starts)
     starts.clear()
     period_scan(6, 4, range(-11, 12))
-    assert any(start is not None for start in starts)
+    assert any(start is not None for _, start in starts)
+    for p, start in starts:
+        if start is not None:
+            den, basis = start
+            assert 1 < den == p ** p_adic_valuation(den, p) and len(basis) == 6, (p, start)
 
 
 def _class_members(n, p, part, r, count, gate="strict"):
