@@ -109,6 +109,42 @@ def adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
+def adjugate_column(m: list[list[int]], k: int) -> tuple[int, list[int]]:
+    """(det, column k of adj(m)) of a nonsingular square integer matrix.
+
+    Fraction-free Bareiss elimination of [m | e_k] to upper-triangular
+    [U | b] (row swaps allowed), then back substitution for x = det * m^-1 e_k:
+    x_i = (det * b_i - sum_{j>i} U_ij x_j) / U_ii, every division checked
+    exact.  Raises ValueError on singular or non-square input.
+    """
+    n, cols = mat_shape(m)
+    if n != cols:
+        raise ValueError("adjugate of non-square matrix")
+    aug = [list(row) + [int(i == k)] for i, row in enumerate(m)]
+    sign = prev = 1
+    for c in range(n):
+        if aug[c][c] == 0:
+            i = next((i for i in range(c + 1, n) if aug[i][c]), None)
+            if i is None:
+                raise ValueError("singular matrix")
+            aug[c], aug[i] = aug[i], aug[c]
+            sign = -sign
+        pivot_row, piv = aug[c], aug[c][c]
+        for i in range(c + 1, n):
+            f = aug[i][c]
+            aug[i] = [0] * (c + 1) + [(x * piv - f * y) // prev for x, y in zip(aug[i][c + 1 :], pivot_row[c + 1 :])]
+        prev = piv
+    det = sign * prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        q, r = divmod(det * row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+        if r:
+            raise AssertionError("non-exact back substitution")
+        x[i] = q
+    return det, x
+
+
 def rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular rational matrix, from the adjugate of
     its rows scaled to integers.  Raises ValueError on singular input."""

@@ -25,7 +25,9 @@ each other's oracle:
 The multiplication table has one layout, owned by this module: _mult_table
 returns the flat vector of the cells T[i][j] with i <= j, row by row (T is
 symmetric, so they are all of it).  _table_key packs those cells mod p^2
-into the memo key, and _radical_kernel decodes that key in the same layout.
+into the memo key in one call, array(code, residues).tobytes(), with code
+(_key_code) the first of B, H, I, L, Q wide enough for p^2 - 1, one byte
+for p = 2, 3; _radical_kernel reads them back with array(code, key).
 Radical rounds, start checks and class certificates all read tables this
 way.
 
@@ -79,9 +81,10 @@ polynomial discriminant at most once and is excluded by its Eisenstein
 witness, so it cannot divide the index.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product, repeat
+from itertools import product as iter_product
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -211,19 +214,20 @@ def _combine(coeffs, vectors, m: int):
     return [a % m for a in out]
 
 
-def _residue_width(m: int) -> int:
-    """Bytes per residue mod m in a _radical_kernel key."""
-    return ((m - 1).bit_length() + 7) // 8
+@lru_cache(maxsize=None)
+def _key_code(p: int) -> str:
+    """The array typecode of a residue mod p^2 in a _radical_kernel key: the
+    first of B, H, I, L, Q wide enough for p^2 - 1 (p < 2^32)."""
+    width = ((p * p - 1).bit_length() + 7) // 8
+    return next(c for c in "BHILQ" if array(c).itemsize >= width)
 
 
 def _table_key(p: int, cells) -> bytes:
     """The _radical_kernel key of the cells of a multiplication table: each
-    reduced mod p^2 and written little-endian in as many bytes as p^2 - 1
-    needs."""
+    reduced mod p^2, packed as an array of typecode _key_code(p)."""
     # A tuple of residues keys as fast, but raised the peak RSS of an n = 12 scan from 24.4 to 28.8 MB.
     pp = p * p
-    residues = [x % pp for x in cells]
-    return b"".join(map(int.to_bytes, residues, repeat(_residue_width(pp)), repeat("little")))
+    return array(_key_code(p), [x % pp for x in cells]).tobytes()
 
 
 @lru_cache(maxsize=1024)
@@ -247,8 +251,7 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     coordinates mod p decide membership in p I.
     """
     pp = p * p
-    width = _residue_width(pp)
-    values = [int.from_bytes(key[k : k + width], "little") for k in range(0, len(key), width)]
+    values = array(_key_code(p), key)
     cells = [values[k : k + n] for k in range(0, len(values), n)]
     diag = [i * n - i * (i - 1) // 2 for i in range(n)]  # cells[diag[i] + j - i] is T[i][j], i <= j
     tab = [[cells[diag[min(a, b)] + abs(b - a)] for b in range(n)] for a in range(n)]  # T[a][b] = T[b][a]

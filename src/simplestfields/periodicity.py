@@ -22,10 +22,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .family import disc_quadratic, discriminant_front
-from .linalg import adjugate
+from .linalg import adjugate_column
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
 from .numutil import factorize, p_adic_valuation
 from .orders import (
@@ -81,9 +82,39 @@ def _trace_matrix(field: NumberField) -> list[list[int]]:
     return [[p[i + j] for j in range(n)] for i in range(n)]
 
 
+def _trace_adjugate(field: NumberField) -> tuple[int, list[list[int]]]:
+    """(det, adj) of the trace matrix T, from one solved column.
+
+    By Euler's lemma the trace dual of beta^j is b_j(beta) / f'(beta), where
+    f(X) / (X - beta) = sum b_j X^j (Serre, Local Fields, III 6).  So row j
+    of adj(T) holds the coordinates of b_j(beta) * r, r = det / f'(beta);
+    b_(n-1) = 1 makes r row n-1, solved as column n-1 of the symmetric T, and
+    b_(j-1) = beta * b_j + c_j, f = sum c_j X^j, gives the other rows by
+    Horner, in integers.
+    T times row 0, where the recurrence ends, and times row n-1 must be det
+    times a unit vector, or AssertionError; row 0 alone pins r only when
+    f(0) != 0, and f(0) = 0 occurs in the family (n = 4, t = 0).
+    """
+    n = field.n
+    c = field.poly.coeffs
+    tm = _trace_matrix(field)
+    det, r = adjugate_column(tm, n - 1)
+    row = r
+    adj = [r]
+    for cj in reversed(c[1:n]):
+        top = row[-1]  # beta * row mod f: shift up, and beta^n = -sum c_i beta^i
+        row = [a - top * ci + cj * x for a, ci, x in zip([0, *row[:-1]], c, r)]
+        adj.append(row)
+    adj.reverse()
+    for j in (0, n - 1):
+        if [sum(map(mul, tm_row, adj[j])) for tm_row in tm] != [det * (i == j) for i in range(n)]:
+            raise AssertionError(f"the trace adjugate fails its row-{j} certificate")
+    return det, adj
+
+
 def dual_basis(field: NumberField) -> DualBasis:
-    """Invert the trace matrix T[i][j] = Tr(beta^(i+j)) exactly as adj(T) / det(T),
-    with denominator |det| / gcd(det, all adjugate entries).
+    """Invert the trace matrix T[i][j] = Tr(beta^(i+j)) exactly as adj(T) / det(T)
+    (see _trace_adjugate), with denominator |det| / gcd(det, all adjugate entries).
 
     The reported law_ok states that the table denominator 3^e * n * Q(t)
     clears every entry (the per-parameter lcm d always divides it; at n = 3
@@ -92,7 +123,7 @@ def dual_basis(field: NumberField) -> DualBasis:
     without being divisible in Z[t]).
     """
     n = field.n
-    det, adj = adjugate(_trace_matrix(field))
+    det, adj = _trace_adjugate(field)
     d = abs(det) // gcd(det, *(x for row in adj for x in row))
     law = None
     if n in DUAL_DENOMINATOR_EXPONENT:
@@ -103,11 +134,24 @@ def dual_basis(field: NumberField) -> DualBasis:
 @lru_cache(maxsize=None)
 def _inverse_vandermonde(k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(M, D) with M / D the inverse of V[i][j] = i^j for 0 <= i, j < k, M
-    integral and D > 0 the common denominator.  One entry per interpolation
-    length, and the lengths in use are bounded by twice the field degree."""
-    det, adj = adjugate([[i**j for j in range(k)] for i in range(k)])
-    d = abs(det) // gcd(det, *(x for row in adj for x in row))
-    return tuple(tuple(x * d // det for x in row) for row in adj), d
+    integral and D > 0 the least common denominator.  Column i is the
+    Lagrange basis polynomial P(t) / (t - i), P = prod_{m<k} (t - m), over
+    its value i! * (k-1-i)! * (-1)^(k-1-i) at i.  One entry per
+    interpolation length, and the lengths in use are bounded by twice the
+    field degree."""
+    p = [1]
+    for m in range(k):
+        p = [a - m * b for a, b in zip([0, *p], [*p, 0])]  # p * (t - m)
+    cols = []
+    for i in range(k):
+        q = [0] * k  # P / (t - i) by synthetic division, highest degree first
+        acc = 0
+        for j in range(k, 0, -1):
+            acc = p[j] + i * acc
+            q[j - 1] = acc
+        cols.append((q, factorial(i) * factorial(k - 1 - i) * (-1) ** (k - 1 - i)))
+    d = lcm(*(abs(w) // gcd(w, *q) for q, w in cols))
+    return tuple(tuple(q[j] * d // w for q, w in cols) for j in range(k)), d
 
 
 def _interpolate_int(ys: list[int]) -> list[int]:
@@ -117,7 +161,7 @@ def _interpolate_int(ys: list[int]) -> list[int]:
     m, d = _inverse_vandermonde(len(ys))
     out = []
     for row in m:
-        q, r = divmod(sum(c * y for c, y in zip(row, ys)), d)
+        q, r = divmod(sum(map(mul, row, ys)), d)
         if r:
             raise AssertionError("non-integral interpolation result")
         out.append(q)
@@ -136,12 +180,12 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     discriminant, which must equal the field's discriminant at every point;
     number_field reads that off the closed form front * Q(t)^(n-1), proved
     once per degree, so front is family.discriminant_front(n).  The trace
-    matrix is symmetric, so its adjugate is too, and only the entries
-    on and above the diagonal are interpolated, at t = 0, ..., 2n-2; they
-    have degree at most 2n-2, which three extra verification points
-    confirm.  Q is monic, so by Gauss's lemma an entry has the content of
-    its quotient by any power of Q, and power is n-1-k for the largest
-    k <= n-1 with Q^k dividing every nonzero entry.
+    matrix is symmetric, so its adjugate (_trace_adjugate) is too, and only
+    the entries on and above the diagonal are interpolated, at t = 0, ...,
+    2n-2; they have degree at most 2n-2, which three extra verification
+    points confirm.  Q is monic, so by Gauss's lemma an entry has the
+    content of its quotient by any power of Q, and power is n-1-k for the
+    largest k <= n-1 with Q^k dividing every nonzero entry.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -150,7 +194,7 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     points = []
     for t0 in range(deg_bound + 4):
         field = number_field(n, t0)
-        det0, adj0 = adjugate(_trace_matrix(field))
+        det0, adj0 = _trace_adjugate(field)
         if det0 != field.disc:
             raise AssertionError(f"the trace-matrix determinant is not the discriminant at t={t0}")
         points.append([adj0[i][j] for i in range(n) for j in range(i, n)])

@@ -10,9 +10,10 @@ multiplication table, the shifted minimal polynomial is a Taylor shift by
 the rational parameter, the parameter gate factorizes once per test,
 factorization trial-divides by every prime up to the fixed bound whatever
 the input, the family dual denominator peels the parameter quadratic
-off an interpolated determinant and every adjugate entry, the family
-polynomial and its companion come from the table of polynomials in m
-instead of the integer pencil, the minimality witness compares each parameter with every
+off a determinant and every adjugate entry, each adjugate a full
+Bareiss-Jordan elimination and each entry interpolated over Fractions
+from the Lagrange basis, the family polynomial and its companion come
+from the table of polynomials in m instead of the integer pencil, the minimality witness compares each parameter with every
 earlier member of its class, the class certificate interpolates every table
 cell to its full degree n - 1 in the class step from n + 1 sample tables,
 the field discriminant is a resultant per field instead of the closed
@@ -61,7 +62,7 @@ from simplestfields.orders import (
     make_order,
     power_order,
 )
-from simplestfields.periodicity import _interpolate_int, _trace_matrix
+from simplestfields.periodicity import _trace_matrix
 from simplestfields.poly import Poly, discriminant
 
 
@@ -350,6 +351,30 @@ def two_factorization_parameter_gate(n: int, t: int, gate: str = "strict") -> tu
     return True, "ok"
 
 
+@lru_cache(maxsize=None)
+def _lagrange_basis(k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients, lowest degree first, of the Lagrange basis polynomials
+    prod_{m != i} (t - m) / (i - m) at the points 0..k-1, over Fractions."""
+    out = []
+    for i in range(k):
+        basis = [Fraction(1)]
+        for m in range(k):
+            if m != i:
+                basis = [(a - m * b) / (i - m) for a, b in zip([0, *basis], [*basis, 0])]
+        out.append(tuple(basis))
+    return tuple(out)
+
+
+def lagrange_interpolate(ys: list[int]) -> Poly:
+    """The integer polynomial of degree below len(ys) taking the value ys[i]
+    at i = 0, 1, ..., summed over Fractions from the Lagrange basis (its
+    coefficients are asserted integral)."""
+    coeffs = [sum(y * basis[j] for y, basis in zip(ys, _lagrange_basis(len(ys)))) for j in range(len(ys))]
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("non-integral interpolation result")
+    return Poly([int(c) for c in coeffs])
+
+
 def peeled_dual_denominator(n: int) -> tuple[int, int]:
     """symbolic_dual_denominator by interpolating the determinant as well and
     peeling the parameter quadratic off it and off every adjugate entry by
@@ -368,8 +393,8 @@ def peeled_dual_denominator(n: int) -> tuple[int, int]:
     deg_bound = 2 * n - 2
     points = [adjugate(_trace_matrix(number_field(n, t0))) for t0 in range(deg_bound + 4)]
     fit = points[: deg_bound + 1]
-    det_poly = Poly(_interpolate_int([det0 for det0, _ in fit]))
-    entry_polys = [[Poly(_interpolate_int([adj0[i][j] for _, adj0 in fit])) for j in range(n)] for i in range(n)]
+    det_poly = lagrange_interpolate([det0 for det0, _ in fit])
+    entry_polys = [[lagrange_interpolate([adj0[i][j] for _, adj0 in fit]) for j in range(n)] for i in range(n)]
     for extra in range(deg_bound + 1, deg_bound + 4):
         det0, adj0 = points[extra]
         if det_poly(extra) != det0:

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from simplestfields._kernels import hnf_rows
-from simplestfields.linalg import adjugate, bareiss_det, left_kernel_mod_p, rat_matrix_inverse
+from simplestfields.linalg import adjugate, adjugate_column, bareiss_det, left_kernel_mod_p, rat_matrix_inverse
 from simplestfields.numberfield import number_field
 from simplestfields.orders import make_order
 
@@ -101,6 +101,33 @@ def test_adjugate_examples():
     for bad in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3]], [[1, 2], [3]]):
         with pytest.raises(ValueError):
             adjugate(bad)
+
+
+def test_adjugate_column_matches_adjugate():
+    """(det, column k of adj) for every k, on random matrices of sizes 1..8,
+    a quarter with a zero leading pivot that forces a row swap; singular and
+    non-square input raise ValueError."""
+    assert adjugate_column([[0, 1], [1, 0]], 0) == (-1, [0, -1])
+    rng = random.Random(29)
+    done = swapped = 0
+    while done < 160:
+        n = 1 + done % 8
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if done % 4 == 1:
+            m[0][0] = 0
+        if bareiss_det(m) == 0:
+            with pytest.raises(ValueError):
+                adjugate_column(m, 0)
+            continue
+        det, adj = adjugate(m)
+        for k in range(n):
+            assert adjugate_column(m, k) == (det, [row[k] for row in adj])
+        swapped += m[0][0] == 0
+        done += 1
+    assert swapped >= 40
+    for bad in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            adjugate_column(bad, 0)
 
 
 def test_adjugate_matches_determinant_oracles():

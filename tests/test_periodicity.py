@@ -5,6 +5,7 @@ import pytest
 
 from simplestfields import numberfield, orders, periodicity
 from simplestfields.family import disc_quadratic, specialize
+from simplestfields.linalg import adjugate
 from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import denominator_bound, integral_basis, parameter_gate, period_length_bound
@@ -13,6 +14,8 @@ from simplestfields.periodicity import (
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
     _inverse_vandermonde,
+    _trace_adjugate,
+    _trace_matrix,
     check_dual_denominator_table,
     dual_basis,
     dual_denominator_front,
@@ -70,7 +73,7 @@ def _fraction_inverse_and_lcm(m):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_dual_basis_matches_fraction_inverse(n):
-    """The adjugate route gives the matrix and denominator of a Fraction
+    """The Euler route gives the matrix and denominator of a Fraction
     Gauss-Jordan inverse of the trace matrix and the lcm of its entries."""
     ts = [t for t in range(-12, 13) if parameter_gate(n, t)[0]][:3]
     assert ts
@@ -81,6 +84,19 @@ def test_dual_basis_matches_fraction_inverse(n):
         db = dual_basis(field)
         assert db.matrix == tuple(tuple(row) for row in inv)
         assert db.denominator == d
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_trace_adjugate_matches_full_adjugate(n):
+    """One solved column and the Horner recurrence give the full
+    Bareiss-Jordan adjugate of the trace matrix at every |t| <= 40, the
+    parameters the gate rejects and those with f(0) = 0 included."""
+    rejected = 0
+    for t in range(-40, 41):
+        field = number_field(n, t)
+        assert _trace_adjugate(field) == adjugate(_trace_matrix(field))
+        rejected += not parameter_gate(n, t)[0]
+    assert rejected
 
 
 def test_inverse_vandermonde_matches_fraction_inverse():
