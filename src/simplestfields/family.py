@@ -66,16 +66,25 @@ class SpecializedPoly:
     m_rule: str  # "t" or "t/3": m = t/s
 
 
-def specialize(n: int, t: int) -> SpecializedPoly:
-    """Member of the family at integer parameter t, in integers: G_n + t * R_n / s
-    at m = t/s (see parameter_scale), once s | R_n is checked."""
-    if n < 2:
-        raise ValueError("degree must be at least 2")
+@lru_cache(maxsize=None)
+def _integer_pencil(n: int) -> tuple[tuple[int, int], ...]:
+    """The coefficients (g_i, r_i / s) of X^i in G_n and R_n / s, s =
+    parameter_scale(n), once s | R_n is checked: formed and checked once per
+    degree."""
     s = parameter_scale(n)
     pencil = _pencil(n)
     if any(r % s for _, r in pencil):
         raise AssertionError(f"{s} does not divide the companion polynomial at n={n}")
-    return SpecializedPoly(n, t, Poly([g + t * (r // s) for g, r in pencil]), "t" if s == 1 else f"t/{s}")
+    return tuple((g, r // s) for g, r in pencil)
+
+
+def specialize(n: int, t: int) -> SpecializedPoly:
+    """Member of the family at integer parameter t, in integers: G_n + t * R_n / s
+    at m = t/s (see parameter_scale), from _integer_pencil(n)."""
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    s = parameter_scale(n)
+    return SpecializedPoly(n, t, Poly([g + t * r for g, r in _integer_pencil(n)]), "t" if s == 1 else f"t/{s}")
 
 
 def discriminant_formula(n: int, m) -> Fraction:

@@ -87,14 +87,20 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent}; n must be nonzero."""
+    """Prime factorization of |n| as {prime: exponent}; n must be nonzero.
+
+    When trial division stops at a prime p with p^2 > n, a cofactor n > 1 has
+    no prime factor below p, so it is prime and needs no test.  Only a
+    cofactor left when the sieve runs out goes to is_prime and Brent-rho."""
     if n == 0:
         raise ValueError("factorization of zero undefined")
     n = abs(n)
     out: dict[int, int] = {}
     for p in _sieve(min(1 << isqrt(n).bit_length(), TRIAL_DIVISION_BOUND)):
         if p * p > n:
-            break
+            if n > 1:
+                out[n] = 1  # larger than every prime divided out
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

@@ -20,16 +20,19 @@ each other's oracle:
     mod p^2; iterate until stable.  That step reads nothing of the order but
     p, n and the table mod p^2, so it is memoized on them (_radical_kernel):
     the p-maximal orders of a period scan recur with the parameter, and so
-    do their tables.
+    do their tables.  M_p and I read only the table mod p, so they have a
+    memo of their own on it (_radical), which a _radical_kernel miss asks:
+    tables that differ mod p^2 often agree mod p.
 
 The multiplication table has one layout, owned by this module: _mult_table
 returns the flat vector of the cells T[i][j] with i <= j, row by row (T is
-symmetric, so they are all of it).  _table_key packs those cells mod p^2
-into the memo key in one call, array(code, residues).tobytes(), with code
-(_key_code) the first of B, H, I, L, Q wide enough for p^2 - 1, one byte
-for p = 2, 3; _radical_kernel reads them back with array(code, key).
-Radical rounds, start checks and class certificates all read tables this
-way.
+symmetric, so they are all of it), and Order.table forms it once per
+order.  _table_key packs those cells mod p^2 into the memo key in one call,
+array(code, residues).tobytes(), with code (_key_code) the first of B, H,
+I, L, Q wide enough for p^2 - 1, one byte for p = 2, 3; _radical_kernel
+reads them back with array(code, key) and packs them mod p the same way
+for _radical.  Radical rounds, start checks and class certificates all read
+tables this way.
 
 class_certificate proves one p-maximal order for a whole residue class of
 parameters t = t0 + part * s: along s every cell of the table of a fixed
@@ -37,7 +40,8 @@ lattice with den = p^a is a polynomial of degree below n, and mod p^2 of
 degree at most d = ceil((2a + 2) / v_p(part)) - 1 when that is smaller, so
 d + 2 sample tables and one period of the table mod p^2 decide closure and
 p-maximality for every s.  A period scan certifies each large enough class
-with it (see periodicity).
+with it (see periodicity), handing it the table at t0 that the saturation's
+stopping round formed, so the certificate forms the other d + 1.
 
 The saturation loop (_saturate) may start from an order other than
 Z[beta]: the p-maximal order of another parameter, which a period scan
@@ -83,7 +87,7 @@ witness, so it cannot divide the index.
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import comb, gcd, lcm
 from operator import mul
@@ -144,6 +148,14 @@ class Order:
     @property
     def fingerprint(self) -> Fingerprint:
         return (self.den, self.basis)
+
+    @cached_property
+    def table(self) -> list[int]:
+        """The multiplication table of the lattice under the field's
+        polynomial (_mult_table), formed on first use and kept, so the start
+        check, the radical round and the class certificate of one order share
+        it.  Raises ValueError when the lattice is not closed under products."""
+        return _mult_table(self.field.poly.coeffs, self.den, self.basis)
 
 
 def make_order(field: NumberField, den: int, rows) -> Order:
@@ -216,8 +228,9 @@ def _combine(coeffs, vectors, m: int):
 
 @lru_cache(maxsize=None)
 def _key_code(p: int) -> str:
-    """The array typecode of a residue mod p^2 in a _radical_kernel key: the
-    first of B, H, I, L, Q wide enough for p^2 - 1 (p < 2^32)."""
+    """The array typecode of a residue in a _radical_kernel key (mod p^2) or a
+    _radical key (mod p): the first of B, H, I, L, Q wide enough for p^2 - 1
+    (p < 2^32)."""
     width = ((p * p - 1).bit_length() + 7) // 8
     return next(c for c in "BHILQ" if array(c).itemsize >= width)
 
@@ -230,6 +243,40 @@ def _table_key(p: int, cells) -> bytes:
     return array(_key_code(p), [x % pp for x in cells]).tobytes()
 
 
+def _square_table(values, n: int) -> list[list]:
+    """T[a][b] for 0 <= a, b < n, each a run of n residues, from the flat cells
+    T[i][j], i <= j, row by row (T is symmetric)."""
+    cells = [values[k : k + n] for k in range(0, len(values), n)]
+    diag = [i * n - i * (i - 1) // 2 for i in range(n)]  # cells[diag[i] + j - i] is T[i][j], i <= j
+    return [[cells[diag[min(a, b)] + abs(b - a)] for b in range(n)] for a in range(n)]
+
+
+@lru_cache(maxsize=1024)
+def _radical(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
+    """The p-radical I/pO of the order, over F_p in the coordinates of its
+    basis, in reduced row echelon form; key packs the table cells mod p as
+    _table_key packs them mod p^2.
+
+    x -> x^p is F_p-linear on O/pO; row i of its matrix M is basis_i^p mod p,
+    read off the table, and I/pO is the left kernel of M^k (p^k >= n).  Both
+    read only the table mod p, on which this is memoized: tables that differ
+    mod p^2 often agree mod p.
+    """
+    tab = _square_table(array(_key_code(p), key), n)
+    frob = []
+    for i in range(n):
+        v = list(tab[i][i])
+        for _ in range(p - 2):
+            v = _combine(v, tab[i], p)  # v * basis_i, since T is symmetric
+        frob.append(v)
+    power = frob
+    q = p
+    while q < n:
+        power = [_combine(row, frob, p) for row in power]
+        q *= p
+    return tuple(map(tuple, left_kernel_mod_p(power, p)))
+
+
 @lru_cache(maxsize=1024)
 def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     """The kernel vectors y of one multiplier-ring step, over F_p in the
@@ -239,41 +286,28 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     of the order, as _mult_table lays them out, and is decoded in that
     layout.  Everything the step decides is a function of (p, n, T mod p^2),
     so a period scan, whose p-maximal orders recur with the parameter,
-    decides each recurring table once.
+    decides each recurring table once.  The p-radical I/pO reads only
+    T mod p and comes from the second memo, _radical; only the multiplier
+    conditions below read T mod p^2.
 
-    x -> x^p is F_p-linear on O/pO; row i of its matrix M is basis_i^p mod p,
-    read off the table, and the radical I/pO is the left kernel of M^k
-    (p^k >= n) in reduced row echelon form.  The multiplier ring is (1/p) U
-    with U = {y : y I <= p I}.  U lies in I (y * p * 1 is in p I), so U/pO is
-    searched inside the radical: y = sum c_j rad_j, with conditions
-    y * rad_j' in p I.  The products rad_j * rad_j' are formed mod p^2 and
-    read off in the basis {rad_j} + {p e_l : l not a pivot} of I, whose
-    coordinates mod p decide membership in p I.
+    The multiplier ring is (1/p) U with U = {y : y I <= p I}.  U lies in I
+    (y * p * 1 is in p I), so U/pO is searched inside the radical:
+    y = sum c_j rad_j, with conditions y * rad_j' in p I.  The products
+    rad_j * rad_j' are formed mod p^2 and read off in the basis
+    {rad_j} + {p e_l : l not a pivot} of I, whose coordinates mod p decide
+    membership in p I.
     """
     pp = p * p
-    values = array(_key_code(p), key)
-    cells = [values[k : k + n] for k in range(0, len(values), n)]
-    diag = [i * n - i * (i - 1) // 2 for i in range(n)]  # cells[diag[i] + j - i] is T[i][j], i <= j
-    tab = [[cells[diag[min(a, b)] + abs(b - a)] for b in range(n)] for a in range(n)]  # T[a][b] = T[b][a]
-    frob = []
-    for i in range(n):
-        v = [x % p for x in tab[i][i]]
-        for _ in range(p - 2):
-            v = _combine(v, tab[i], p)  # v * basis_i, since T is symmetric
-        frob.append(v)
-    power = frob
-    q = p
-    while q < n:
-        power = [_combine(row, frob, p) for row in power]
-        q *= p
-    rad = left_kernel_mod_p(power, p)
+    code = _key_code(p)
+    values = array(code, key)
+    rad = _radical(p, n, array(code, [x % p for x in values]).tobytes())
     if not rad:
         return ()
     r = len(rad)
     pivots = [row.index(1) for row in rad]
     free = [l for l in range(n) if l not in pivots]
     conditions = [[] for _ in range(r)]
-    flat = [[x for c in row for x in c] for row in tab]  # row a: basis_a * basis_b for every b
+    flat = [[x for c in row for x in c] for row in _square_table(values, n)]  # row a: basis_a * basis_b for every b
     for j in range(r):
         s = _combine(rad[j], flat, pp)
         times = [s[b * n : (b + 1) * n] for b in range(n)]  # rad_j * basis_b
@@ -292,19 +326,19 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_combine(c, rad, p)) for c in left_kernel_mod_p(conditions, p))
 
 
-def _radical_round(order: Order, p: int, cells) -> Order | None:
+def _radical_round(order: Order, p: int) -> Order | None:
     """One multiplier-ring step on the multiplication table of the order;
     None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
     The order is p-maximal iff the multiplier kernel is empty (Cohen, 6.1): a
     kernel vector y != 0 mod p puts y / p outside the order, which must grow.
 
     The step over F_p is _radical_kernel, memoized on T mod p^2: the round
-    packs the table cells into its key and lifts the kernel vectors y it
+    packs order.table into its key and lifts the kernel vectors y it
     returns to the numerators y . basis, which with p * basis generate the
     enlarged order over p * den.
     """
     n = order.n
-    kernel = _radical_kernel(p, n, _table_key(p, cells))
+    kernel = _radical_kernel(p, n, _table_key(p, order.table))
     if not kernel:
         return None
     basis = order.basis
@@ -530,17 +564,19 @@ def _dedekind_order(field: NumberField, p: int, u: list[int]) -> Order:
     return make_order(field, p, rows)
 
 
-def _start_order(field: NumberField, start) -> tuple[Order, list[int]] | None:
-    """(order, multiplication table cells) for the fingerprint start = (den,
-    HNF rows), or None unless the lattice over den contains Z[beta] and is
-    closed under multiplication."""
+def _start_order(field: NumberField, start) -> Order | None:
+    """The order of the fingerprint start = (den, HNF rows), its table formed,
+    or None unless the lattice over den contains Z[beta] and is closed under
+    multiplication."""
     den, basis = start
     if not _contains_power_basis(den, basis):
         return None
+    order = Order(field, den, tuple(tuple(r) for r in basis))
     try:
-        return Order(field, den, tuple(tuple(r) for r in basis)), _mult_table(field.poly.coeffs, den, basis)
+        order.table  # formed here, and read again by the first round
     except ValueError:  # a product is outside the lattice over den
         return None
+    return order
 
 
 def _integral_start(field: NumberField, start) -> Order | None:
@@ -558,7 +594,7 @@ def _integral_start(field: NumberField, start) -> Order | None:
 
 
 def class_certificate(
-    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict"
+    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict", table: list[int] | None = None
 ) -> tuple[bool, str]:
     """Prove that fingerprint = (den, HNF), the p-maximal order at t0, is the
     p-maximal order at every t = t0 + part * s (s in Z) that the gate
@@ -597,8 +633,12 @@ def class_certificate(
         the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
     the one saturation finds.  The d + 2 sample tables come from specialize
-    (no field is built or cached) and none is kept.  Raises ValueError for
-    an unknown gate, part = 0 or a den that is not a power of p.
+    (no field is built or cached) and none is kept.  table, when given, is
+    the sample s = 0, the table that _mult_table formed for the same
+    (f_t0, den, basis): a period scan passes the table of the saturation's
+    stopping round (Order.table), so only the other d + 1 are formed here.
+    Raises ValueError for an unknown gate, part = 0 or a den that is not a
+    power of p.
     """
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
@@ -611,8 +651,8 @@ def class_certificate(
     v = p_adic_valuation(part, p)
     d = n - 1 if v == 0 else min(n - 1, -(-(2 * a + 2) // v) - 1)
     products = _basis_products(basis)
-    level = []
-    for s in range(d + 2):
+    level = [] if table is None else [table]
+    for s in range(len(level), d + 2):
         try:
             level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
         except ValueError:
@@ -652,8 +692,8 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     the order in which each strategy tries its starts; saturation runs from
     the first one accepted:
       * radical: start, then _polygon_start(field, p), whichever _start_order
-        accepts first, else Z[beta]; the accepted table serves the first
-        radical round;
+        accepts first, else Z[beta]; the table formed by the check serves
+        the first radical round;
       * enumerate: Z[beta], returned with no round, when Dedekind's test
         finds it p-maximal; else start, if _integral_start accepts it; else
         Dedekind's order.  No multiplication table is read.
@@ -675,16 +715,15 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
         while (enlarged := _enumerate_round(order, p)) is not None:
             order = enlarged
         return order
-    accepted = None if start is None else _start_order(field, start)
-    if accepted is None:
+    order = None if start is None else _start_order(field, start)
+    if order is None:
         polygon = _polygon_start(field, p)
-        accepted = None if polygon is None else _start_order(field, polygon)
-    order, cells = accepted or (power_order(field), None)
-    while True:
-        enlarged = _radical_round(order, p, cells or _mult_table(field.poly.coeffs, order.den, order.basis))
-        if enlarged is None:
-            return order
-        order, cells = enlarged, None
+        order = None if polygon is None else _start_order(field, polygon)
+    if order is None:
+        order = power_order(field)
+    while (enlarged := _radical_round(order, p)) is not None:
+        order = enlarged
+    return order
 
 
 def p_maximal_order(field: NumberField, p: int, strategy: str = "radical") -> Order:

@@ -266,11 +266,12 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     of the modulus, a class of t mod p^v with more than n members in ts is
     saturated at its first gate-passing member and, under the radical
     strategy, certified there; its later members take that order.  A
-    certificate builds d + 2 <= n + 1 sample tables, fewer as v grows (see
-    orders.class_certificate); the threshold stays at n members whatever d
-    is.  Other classes are saturated member by member, from the last
-    p-maximal order with den > 1 of the class when p^v > 1 (see
-    orders._saturate for the starts it tries).
+    certificate reads d + 2 <= n + 1 sample tables, fewer as v grows (see
+    orders.class_certificate), and is handed the one at t0, which the
+    saturation's stopping round formed (Order.table); the threshold stays at
+    n members whatever d is.  Other classes are saturated member by member,
+    from the last p-maximal order with den > 1 of the class when p^v > 1
+    (see orders._saturate for the starts it tries).
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
     already checked the gate and strategy names.
     """
@@ -296,7 +297,8 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
                 if o is None:
                     o = _saturate(field, p, strategy, starts.get(key))
                     if key not in certified and strategy == "radical" and members[key] > n:
-                        certified[key] = o if class_certificate(n, p, part, t, o.fingerprint, gate)[0] else None
+                        proved = class_certificate(n, p, part, t, o.fingerprint, gate, o.table)[0]
+                        certified[key] = o if proved else None
                     if part > 1 and o.den > 1:
                         starts[key] = o.fingerprint
                 orders.append(o)

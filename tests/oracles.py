@@ -6,7 +6,9 @@ division, traces come from companion-matrix powers, the rational inverse is
 plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
 the classical quadratic-field classification, the radical round works on
 polynomial products over the power basis instead of the order's
-multiplication table, the shifted minimal polynomial is a Taylor shift by
+multiplication table, the multiplier-ring step on a table key computes its
+Frobenius matrix and p-radical from the table mod p^2 in one unmemoized
+stage instead of recalling them from a memo on the table mod p, the shifted minimal polynomial is a Taylor shift by
 the rational parameter, the parameter gate factorizes once per test,
 factorization trial-divides by every prime up to the fixed bound whatever
 the input, the family dual denominator peels the parameter quadratic
@@ -27,6 +29,7 @@ the payload in JSON types, computed again from the parsed command line.
 """
 
 import json
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -55,7 +58,9 @@ from simplestfields.numutil import (
 )
 from simplestfields.orders import (
     _basis_products,
+    _combine,
     _contains_power_basis,
+    _key_code,
     _mult_table,
     _radical_kernel,
     _table_key,
@@ -290,6 +295,52 @@ def _radical_basis(field, order, p: int):
     rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
     rows += [[p * x for x in row] for row in basis]
     return hnf_rows(rows, n)
+
+
+def single_stage_radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
+    """orders._radical_kernel in one stage, with no memo: the Frobenius
+    matrix, its power's kernel (the p-radical) and the multiplier conditions
+    all read from the table mod p^2 that key packs."""
+    pp = p * p
+    values = array(_key_code(p), key)
+    cells = [values[k : k + n] for k in range(0, len(values), n)]
+    diag = [i * n - i * (i - 1) // 2 for i in range(n)]  # cells[diag[i] + j - i] is T[i][j], i <= j
+    tab = [[cells[diag[min(a, b)] + abs(b - a)] for b in range(n)] for a in range(n)]  # T[a][b] = T[b][a]
+    frob = []
+    for i in range(n):
+        v = [x % p for x in tab[i][i]]
+        for _ in range(p - 2):
+            v = _combine(v, tab[i], p)  # v * basis_i, since T is symmetric
+        frob.append(v)
+    power = frob
+    q = p
+    while q < n:
+        power = [_combine(row, frob, p) for row in power]
+        q *= p
+    rad = left_kernel_mod_p(power, p)
+    if not rad:
+        return ()
+    r = len(rad)
+    pivots = [row.index(1) for row in rad]
+    free = [l for l in range(n) if l not in pivots]
+    conditions = [[] for _ in range(r)]
+    flat = [[x for c in row for x in c] for row in tab]  # row a: basis_a * basis_b for every b
+    for j in range(r):
+        s = _combine(rad[j], flat, pp)
+        times = [s[b * n : (b + 1) * n] for b in range(n)]  # rad_j * basis_b
+        for k in range(j, r):
+            w = _combine(rad[k], times, pp)
+            a = [w[c] for c in pivots]
+            coords = [x % p for x in a]
+            for l in free:
+                d, e = divmod((w[l] - sum(x * row[l] for x, row in zip(a, rad))) % pp, p)
+                if e:
+                    raise AssertionError("product of radical elements is not in the radical")
+                coords.append(d)
+            conditions[j] += coords
+            if k != j:
+                conditions[k] += coords
+    return tuple(tuple(_combine(c, rad, p)) for c in left_kernel_mod_p(conditions, p))
 
 
 def power_basis_radical_round(field, order, p: int):

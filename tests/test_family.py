@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from math import comb
 
+from simplestfields import family
 from simplestfields.family import (
     alternating_binomial_sum,
     check_companion_at_cube_root,
@@ -64,6 +65,25 @@ def test_coefficient_closed_form():
         for i in range(n + 1):
             assert f[i] == comb(n, i) * family_coeff(n - i)
             assert r[i] == comb(n, i) * companion_coeff(n - i)
+
+
+def test_specialize_checks_the_pencil_once_per_degree(monkeypatch):
+    """specialize forms the integer pencil and checks s | R_n once per degree,
+    however many parameters it is called for, and a pencil that fails the
+    check still raises."""
+    calls = []
+    real = family._pencil
+    monkeypatch.setattr(family, "_pencil", lambda n: calls.append(n) or real(n))
+    family._integer_pencil.cache_clear()
+    for n in (6, 8):
+        for t in range(-20, 21):
+            assert specialize(n, t).poly == table_specialize(n, t), (n, t)
+    assert calls == [6, 8]
+    monkeypatch.setattr(family, "_pencil", lambda n: [(g, r + 1) for g, r in real(n)])
+    family._integer_pencil.cache_clear()
+    with pytest.raises(AssertionError, match="3 does not divide the companion polynomial at n=6"):
+        specialize(6, 1)
+    family._integer_pencil.cache_clear()
 
 
 def test_pencil_matches_the_symbolic_table():

@@ -26,8 +26,8 @@ from simplestfields.orders import (
     _enumerate_round,
     _fp_radical,
     _integral_start,
-    _mult_table,
     _polygon_start,
+    _radical,
     _radical_kernel,
     _radical_round,
     _saturate,
@@ -465,7 +465,9 @@ def test_start_order_checks():
     for field, start in ((f, o), (f, power_order(f)), (f12, o12)):
         n = field.n
         poly = list(field.poly.coeffs)
-        order, table = _start_order(field, start.fingerprint)
+        order = _start_order(field, start.fingerprint)
+        assert "table" in vars(order)  # formed by the check, kept for the first round
+        table = order.table
         assert order == start
         den, basis = order.den, order.basis
         assert len(table) == n * n * (n + 1) // 2
@@ -508,32 +510,28 @@ def test_integral_start_checks():
     assert _saturate(f, 2, "enumerate", (2, open_lattice)) == o
 
 
-def _table(field, order):
-    return _mult_table(field.poly.coeffs, order.den, order.basis)
-
-
 def _radical_chain(field, p):
     """Orders from Z[beta] to the p-maximal order, one radical round apart."""
     chain = [power_order(field)]
-    while (nxt := _radical_round(chain[-1], p, _table(field, chain[-1]))) is not None:
+    while (nxt := _radical_round(chain[-1], p)) is not None:
         chain.append(nxt)
     return chain
 
 
-def _walk_against_oracle(field, p, order, table, cold):
-    """Radical rounds from order (with its table) to the p-maximal order,
-    each checked against the power-basis round, with the memo of
-    _radical_kernel emptied before every round when cold; returns the rounds
-    taken."""
+def _walk_against_oracle(field, p, order, cold):
+    """Radical rounds from order to the p-maximal order, each checked
+    against the power-basis round, with the memos of _radical_kernel and
+    _radical emptied before every round when cold; returns the rounds taken."""
     rounds = 0
     while True:
         if cold:
             _radical_kernel.cache_clear()
-        nxt = _radical_round(order, p, table)
+            _radical.cache_clear()
+        nxt = _radical_round(order, p)
         assert nxt == power_basis_radical_round(field, order, p), (field.n, field.t, p, rounds)
         if nxt is None:
             return rounds
-        order, table, rounds = nxt, _table(field, nxt), rounds + 1
+        order, rounds = nxt, rounds + 1
 
 
 def _check_rounds_against_oracle(cold):
@@ -553,14 +551,14 @@ def _check_rounds_against_oracle(cold):
             for t in ts[:8]:
                 field = number_field(n, t)
                 start = power_order(field)
-                if _walk_against_oracle(field, p, start, _table(field, start), cold) < 2:
+                if _walk_against_oracle(field, p, start, cold) < 2:
                     continue
                 long_chains.add((n, p))
                 other = next(u for k in range(1, 99) for u in (t - k * part, t + k * part) if parameter_gate(n, u)[0])
                 accepted = _start_order(field, p_maximal_order(number_field(n, other), p).fingerprint)
                 if accepted is not None:
                     accepted_starts += 1
-                    _walk_against_oracle(field, p, *accepted, cold)
+                    _walk_against_oracle(field, p, accepted, cold)
                 long += 1
                 if long == 3:
                     break
@@ -713,7 +711,7 @@ def test_dedekind_order_is_one_radical_round():
         field = number_field(n, t)
         m, u = _dedekind_test(field, p)
         z_beta = power_order(field)
-        enlarged = _radical_round(z_beta, p, _mult_table(field.poly.coeffs, 1, z_beta.basis))
+        enlarged = _radical_round(z_beta, p)
         assert (m == 0) == (enlarged is None) == (p_maximal_order(field, p).den == 1), (n, t, p)
         if m:
             o1 = _dedekind_order(field, p, u)

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from simplestfields import numutil
 from simplestfields.numutil import (
     factorize,
     is_prime,
@@ -101,6 +102,24 @@ def test_factorize_matches_full_sieve_route():
     assert max(inputs) > 10**18
     for n in inputs:
         assert factorize(n) == full_sieve_factorize(n), n
+
+
+def test_factorize_tests_only_a_sieve_exhausted_cofactor(monkeypatch):
+    """Trial division that stops at p^2 > n has proven the cofactor prime, so
+    no is_prime runs; a cofactor left when the sieve runs out (15 = 3 * 5 with
+    the primes up to 4, or a product of two primes past the bound) is still
+    tested, and Brent-rho splits the composite one."""
+    calls = []
+    real = numutil.is_prime
+    monkeypatch.setattr(numutil, "is_prime", lambda m: calls.append(m) or real(m))
+    for n, want in ((97, {97: 1}), (6 * 1_000_003, {2: 1, 3: 1, 1_000_003: 1}), (2 * 49, {2: 1, 7: 2})):
+        assert factorize(n) == want, n
+    assert calls == []
+    assert factorize(15) == {3: 1, 5: 1}
+    assert calls == [5]
+    calls.clear()
+    assert factorize(1_000_003 * 1_000_033) == {1_000_003: 1, 1_000_033: 1}
+    assert calls[0] == 1_000_003 * 1_000_033 and sorted(calls[1:]) == [1_000_003, 1_000_033]
 
 
 def test_is_prime():

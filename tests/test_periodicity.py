@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +31,7 @@ from oracles import (
     gauss_jordan_inverse,
     nested_minimality_witness,
     peeled_dual_denominator,
+    single_stage_radical_kernel,
 )
 
 
@@ -468,6 +470,82 @@ def test_scan8_first_members_take_one_round(monkeypatch):
     assert rounds[0] == saturations[0] == 43
 
 
+def test_scan8_forms_each_table_and_radical_once(monkeypatch):
+    """On the scan8 inputs each of the 43 certificates takes its sample s = 0
+    from the saturation that found its order (the stopping round's table,
+    equal to the table formed afresh at t0), so the scan forms 144 tables,
+    not 187.  Its 189 misses of the _radical_kernel memo compute 67
+    radicals, one per distinct table mod p."""
+    tables = [0]
+    real_table = orders._mult_table
+
+    def counted(*args):
+        tables[0] += 1
+        return real_table(*args)
+
+    handed = []
+    real_certificate = periodicity.class_certificate
+
+    def logged(*args):
+        handed.append(args)
+        return real_certificate(*args)
+
+    monkeypatch.setattr(orders, "_mult_table", counted)
+    monkeypatch.setattr(periodicity, "class_certificate", logged)
+    orders._radical_kernel.cache_clear()
+    orders._radical.cache_clear()
+    period_scan(8, 432, range(-500, 501))
+    assert tables[0] == 144
+    assert orders._radical_kernel.cache_info().misses == 189
+    assert orders._radical.cache_info().misses == 67
+    assert len(handed) == 43
+    for n, p, part, t0, (den, basis), gate, table in handed:
+        assert table == real_table(specialize(n, t0).poly.coeffs, den, basis), (p, t0)
+
+
+def _n12_slice_residues():
+    """The classes mod 1944 of the n = 12 scan of acceptance criterion 9: the
+    first 60 residues with at least 3 gate-passing t in |t| <= 4000."""
+    chosen = []
+    for r in range(1944):
+        if sum(1 for t in range(r - 2 * 1944, 4001, 1944) if abs(t) <= 4000 and parameter_gate(12, t)[0]) >= 3:
+            chosen.append(r)
+            if len(chosen) == 60:
+                return chosen
+    raise AssertionError("fewer than 60 classes")
+
+
+def test_radical_kernel_matches_single_stage_oracle(monkeypatch):
+    """The two-stage _radical_kernel, whose radical is memoized on the table
+    mod p, returns the kernel of the one-stage oracle on every table key of
+    period_scan(8, 432, |t| <= 60) and of the n = 12 criterion-9 slice, at
+    p = 2 and 3 with empty and nonempty kernels.  Every radical there is
+    nonempty (p ramifies), so the tables of Z[beta] at (n, t, p) = (2, 2, 3)
+    and (5, 1, 2), where p does not divide the discriminant, add two empty
+    ones."""
+    keys = set()
+    real = orders._radical_kernel
+
+    def recorded(p, n, key):
+        keys.add((p, n, key))
+        return real(p, n, key)
+
+    monkeypatch.setattr(orders, "_radical_kernel", recorded)
+    period_scan(8, 432, range(-60, 61))
+    period_scan(12, 1944, range(-4000, 4001), residues=_n12_slice_residues())
+    for n, t, p in ((2, 2, 3), (5, 1, 2)):
+        keys.add((p, n, orders._table_key(p, orders.power_order(number_field(n, t)).table)))
+    seen = set()
+    for p, n, key in keys:
+        kernel = real(p, n, key)
+        assert kernel == single_stage_radical_kernel(p, n, key), (p, n)
+        code = orders._key_code(p)
+        radical = orders._radical(p, n, array(code, [x % p for x in array(code, key)]).tobytes())
+        seen.add((n, p, bool(radical), bool(kernel)))
+    assert {(8, 2, True, False), (8, 3, True, False), (2, 3, False, False), (5, 2, False, False)} <= seen
+    assert {(12, p, True, k) for p in (2, 3) for k in (False, True)} <= seen
+
+
 def test_period_scan_enumerate_matches_radical():
     """The enumerate strategy never certifies; its members saturate one at a
     time, each from the last order of its class, and the report equals the
@@ -655,6 +733,26 @@ def test_class_certificate_builds_d_plus_two_tables(monkeypatch):
         tables[0] = 0
         assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
         assert tables[0] == 4
+
+
+def test_class_certificate_takes_the_handed_sample(monkeypatch):
+    """Handed the table of the saturation at t0 (Order.table), a certificate
+    forms only the other d + 1 = 3 sample tables, with the same verdict as
+    when it forms all four itself."""
+    tables = [0]
+    real = orders._mult_table
+
+    def counted(*args):
+        tables[0] += 1
+        return real(*args)
+
+    n, p, part = 8, 3, 27
+    t0 = _class_members(n, p, part, 1, 1)[0]
+    o = orders.p_maximal_order(number_field(n, t0), p)
+    table = o.table
+    monkeypatch.setattr(orders, "_mult_table", counted)
+    assert orders.class_certificate(n, p, part, t0, o.fingerprint, "strict", table) == (True, "ok")
+    assert tables[0] == 3
 
 
 def test_class_certificate_period_counts_the_log_term(monkeypatch):
