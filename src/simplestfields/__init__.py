@@ -6,16 +6,6 @@ they generate, and the periodic repetition of those bases across the integer
 parameter.
 """
 
-from .cyclo import (
-    CycloElt,
-    CycloRing,
-    companion_ring,
-    companion_root,
-    cyclotomic_polynomial,
-    embed_root,
-    moebius_matrix_order,
-    sqrt_minus_three,
-)
 from .family import (
     alternating_binomial_sum,
     companion_poly,
@@ -58,6 +48,33 @@ from .periodicity import (
 from .poly import Poly, discriminant, resultant
 
 __version__ = "0.1.0"
+
+# The cyclotomic names load cyclo on first use (PEP 562): no CLI command but
+# identities needs it, so importing the package does not compile it.
+_CYCLO_NAMES = (
+    "CycloElt",
+    "CycloRing",
+    "companion_ring",
+    "companion_root",
+    "cyclotomic_polynomial",
+    "embed_root",
+    "moebius_matrix_order",
+    "sqrt_minus_three",
+)
+
+
+def __getattr__(name):
+    if name not in _CYCLO_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cyclo
+
+    value = globals()[name] = getattr(cyclo, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_CYCLO_NAMES})
+
 
 __all__ = [
     "CycloElt",

@@ -25,7 +25,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .family import companion_poly, disc_quadratic, family_poly, specialize
-from .identities import run_identity_suite
 from .numberfield import ParameterNotCoveredError, number_field
 from .orders import integral_basis, order_discriminant, period_length_bound
 from .periodicity import (
@@ -113,6 +112,8 @@ def cmd_family(args) -> tuple[str, dict]:
 
 
 def cmd_identities(args) -> tuple[str, dict]:
+    from .identities import run_identity_suite  # on first use: no other command needs it, or cyclo
+
     results = run_identity_suite(args.n_max, seed=args.seed, trials=args.trials)
     failures = [r for r in results if not r.ok]
     result = {

@@ -7,12 +7,11 @@ transformation and evaluation identities exactly (no floating point
 anywhere).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
-from .cyclo import CycloRing, embed_root, sqrt_minus_three
 from .poly import Poly
 
 # The family table (1, -m, -m-1, -1, m, m+1) is _BASE_TABLE + m * _COMPANION_TABLE.
@@ -56,8 +55,7 @@ def disc_quadratic(n: int, t):
     return t * t + s * t + s * s
 
 
-@dataclass(frozen=True)
-class SpecializedPoly:
+class SpecializedPoly(NamedTuple):
     """Integer-coefficient member of the family at an integer parameter."""
 
     n: int
@@ -109,8 +107,7 @@ def discriminant_formula_t(n: int, t: int) -> int:
     return discriminant_front(n) * disc_quadratic(n, t) ** (n - 1)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     checks: int
     first_failure: str | None = None
@@ -206,6 +203,8 @@ def alternating_binomial_sum(n: int, a, b, c):
 def check_companion_at_cube_root(n_max: int) -> CheckReport:
     """Evaluate the companion polynomial at a primitive cube root of unity and
     compare with the closed power formula, for every n <= n_max."""
+    from .cyclo import CycloRing, embed_root, sqrt_minus_three  # on first use: CLI start-up needs no cyclo
+
     ring = CycloRing(6)
     omega = embed_root(ring, 3)
     s = sqrt_minus_three(ring)

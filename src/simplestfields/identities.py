@@ -7,8 +7,8 @@ equality proves the underlying polynomial identity.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclo import check_companion_shift_identity, companion_root, moebius_matrix_order
 from .family import (
@@ -26,8 +26,7 @@ from .family import (
 from .poly import Poly, discriminant, resultant
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

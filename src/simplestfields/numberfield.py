@@ -10,10 +10,10 @@ test is integer arithmetic only and stops at the first k with den^k not
 dividing e_k.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from ._kernels import zx_mulmod
 from .family import disc_quadratic, discriminant_formula_t, parameter_scale, specialize
@@ -25,8 +25,7 @@ class ParameterNotCoveredError(ValueError):
     """Raised when a parameter falls outside the certified hypotheses."""
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(NamedTuple):
     """Q(beta) for beta a root of the degree-n specialized family polynomial."""
 
     n: int
@@ -73,17 +72,21 @@ def number_field(n: int, t: int) -> NumberField:
     return NumberField(n, t, f, disc, witness)
 
 
-@dataclass(frozen=True)
-class FieldElt:
-    """(num[0] + num[1]*beta + ... + num[n-1]*beta^(n-1)) / den, normalized."""
-
+class _FieldEltFields(NamedTuple):
     field: NumberField
     num: tuple[int, ...]
     den: int
 
-    def __post_init__(self):
-        if self.den < 1:
+
+class FieldElt(_FieldEltFields):
+    """(num[0] + num[1]*beta + ... + num[n-1]*beta^(n-1)) / den, normalized."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: NumberField, num: tuple[int, ...], den: int):
+        if den < 1:
             raise ValueError("denominator must be positive")
+        return super().__new__(cls, field, num, den)
 
 
 def field_elt(field: NumberField, num, den: int = 1) -> FieldElt:

@@ -40,8 +40,9 @@ lattice with den = p^a is a polynomial of degree below n, and mod p^2 of
 degree at most d = ceil((2a + 2) / v_p(part)) - 1 when that is smaller, so
 d + 2 sample tables and one period of the table mod p^2 decide closure and
 p-maximality for every s.  A period scan certifies each large enough class
-with it (see periodicity), handing it the table at t0 that the saturation's
-stopping round formed, so the certificate forms the other d + 1.
+with it (see periodicity), handing it the order at t0 that saturation
+returned: its table, formed by the stopping round, is the first sample, and
+its basis products, formed for that table, serve the other d + 1.
 
 The saturation loop (_saturate) may start from an order other than
 Z[beta]: the p-maximal order of another parameter, which a period scan
@@ -86,11 +87,11 @@ witness, so it cannot divide the index.
 """
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import comb, gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from ._kernels import hnf_rows, solve_lower_coords, zx_mod, zx_mul
 from .family import disc_quadratic, discriminant_front, parameter_scale, specialize
@@ -113,18 +114,22 @@ GATES = ("strict", "relaxed")
 Fingerprint = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-@dataclass(frozen=True)
-class Order:
+class _Lattice(NamedTuple):
+    field: NumberField
+    den: int
+    basis: tuple[tuple[int, ...], ...]  # lower-triangular HNF rows
+
+
+class Order(_Lattice):
     """Lattice of rank n over den containing Z[beta], canonically represented.
 
     It is a ring (an order) for p-maximal orders, for the outputs of radical
     rounds (multiplier rings) and for joins of those; an intermediate
     lattice of the enumerate strategy need not be closed under products.
+    It compares and hashes as the tuple (field, den, basis), whose fields
+    cannot be assigned; having no __slots__, it keeps its cached properties
+    in an instance __dict__.
     """
-
-    field: NumberField
-    den: int
-    basis: tuple[tuple[int, ...], ...]  # lower-triangular HNF rows
 
     @property
     def n(self) -> int:
@@ -150,12 +155,18 @@ class Order:
         return (self.den, self.basis)
 
     @cached_property
+    def products(self) -> list[list[int]]:
+        """_basis_products(basis), formed on first use and kept, so the table
+        and the other samples of a class certificate share them."""
+        return _basis_products(self.basis)
+
+    @cached_property
     def table(self) -> list[int]:
         """The multiplication table of the lattice under the field's
         polynomial (_mult_table), formed on first use and kept, so the start
         check, the radical round and the class certificate of one order share
         it.  Raises ValueError when the lattice is not closed under products."""
-        return _mult_table(self.field.poly.coeffs, self.den, self.basis)
+        return _mult_table(self.field.poly.coeffs, self.den, self.basis, self.products)
 
 
 def make_order(field: NumberField, den: int, rows) -> Order:
@@ -199,7 +210,7 @@ def _basis_products(basis) -> list[list[int]]:
     return [zx_mul(a, b) for i, a in enumerate(rows) for b in rows[i:]]
 
 
-def _mult_table(f, den: int, basis, products=None) -> list[int]:
+def _mult_table(f, den: int, basis, products) -> list[int]:
     """The multiplication table of the lattice whose numerators over den are
     the rows of basis, under the monic polynomial with coefficients f (lowest
     degree first): the coordinates of basis_i * basis_j over the basis for
@@ -207,12 +218,11 @@ def _mult_table(f, den: int, basis, products=None) -> list[int]:
 
     The product of two numerators over den is a numerator over den^2, so its
     coordinates solve c . (den * basis) = basis_i * basis_j mod f.  products
-    is _basis_products(basis) when the caller tables one lattice under many
-    polynomials (class_certificate).  Raises ValueError when a product is
-    not in the lattice over den.
+    is _basis_products(basis), formed once per lattice (Order.products), so
+    that the tables of one lattice under many polynomials share it
+    (class_certificate).  Raises ValueError when a product is not in the
+    lattice over den.
     """
-    if products is None:
-        products = _basis_products(basis)
     scaled = [[den * x for x in row] for row in basis]
     return [x for product in products for x in solve_lower_coords(scaled, zx_mod(product, f))]
 
@@ -594,7 +604,7 @@ def _integral_start(field: NumberField, start) -> Order | None:
 
 
 def class_certificate(
-    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict", table: list[int] | None = None
+    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict", order: Order | None = None
 ) -> tuple[bool, str]:
     """Prove that fingerprint = (den, HNF), the p-maximal order at t0, is the
     p-maximal order at every t = t0 + part * s (s in Z) that the gate
@@ -633,10 +643,11 @@ def class_certificate(
         the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
     the one saturation finds.  The d + 2 sample tables come from specialize
-    (no field is built or cached) and none is kept.  table, when given, is
-    the sample s = 0, the table that _mult_table formed for the same
-    (f_t0, den, basis): a period scan passes the table of the saturation's
-    stopping round (Order.table), so only the other d + 1 are formed here.
+    (no field is built or cached) and none is kept.  order, when given, is
+    the order at t0 with this fingerprint, as saturation returned it: a
+    period scan passes it, so its table (the stopping round's Order.table)
+    is the sample s = 0, only the other d + 1 are formed here, and they
+    reuse its basis products (Order.products).
     Raises ValueError for an unknown gate, part = 0 or a den that is not a
     power of p.
     """
@@ -650,8 +661,10 @@ def class_certificate(
         return False, "the lattice does not contain Z[beta]"
     v = p_adic_valuation(part, p)
     d = n - 1 if v == 0 else min(n - 1, -(-(2 * a + 2) // v) - 1)
-    products = _basis_products(basis)
-    level = [] if table is None else [table]
+    if order is None:
+        products, level = _basis_products(basis), []
+    else:
+        products, level = order.products, [order.table]
     for s in range(len(level), d + 2):
         try:
             level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))

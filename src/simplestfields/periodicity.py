@@ -19,11 +19,11 @@ inconsistent report.
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .family import disc_quadratic, discriminant_front
 from .linalg import adjugate_column
@@ -64,8 +64,7 @@ PERIOD_BOUND_TABLE = {n: dual_denominator_front(n) ** n for n in DUAL_DENOMINATO
 FINAL_PERIOD_TABLE = {2: 4, 3: 1, 4: 24, 5: 75, 6: 36, 8: 432, 9: 1, 12: 1944}
 
 
-@dataclass(frozen=True)
-class DualBasis:
+class DualBasis(NamedTuple):
     """Trace-dual of the power basis: row i of matrix holds the power-basis
     coordinates of the i-th dual element."""
 
@@ -215,8 +214,7 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     return d_int, n - 1 - k
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(NamedTuple):
     ok: bool
     entries: tuple
     failures: tuple
@@ -267,9 +265,10 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     saturated at its first gate-passing member and, under the radical
     strategy, certified there; its later members take that order.  A
     certificate reads d + 2 <= n + 1 sample tables, fewer as v grows (see
-    orders.class_certificate), and is handed the one at t0, which the
-    saturation's stopping round formed (Order.table); the threshold stays at
-    n members whatever d is.  Other classes are saturated member by member,
+    orders.class_certificate), and is handed the saturated order at t0,
+    whose table the stopping round formed (Order.table) and whose basis
+    products serve the other samples; the threshold stays at n members
+    whatever d is.  Other classes are saturated member by member,
     from the last p-maximal order with den > 1 of the class when p^v > 1
     (see orders._saturate for the starts it tries).
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
@@ -297,7 +296,7 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
                 if o is None:
                     o = _saturate(field, p, strategy, starts.get(key))
                     if key not in certified and strategy == "radical" and members[key] > n:
-                        proved = class_certificate(n, p, part, t, o.fingerprint, gate, o.table)[0]
+                        proved = class_certificate(n, p, part, t, o.fingerprint, gate, o)[0]
                         certified[key] = o if proved else None
                     if part > 1 and o.den > 1:
                         starts[key] = o.fingerprint
@@ -312,8 +311,7 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     return out, skipped
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     n: int
     modulus: int
     gate: str

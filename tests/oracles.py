@@ -603,7 +603,8 @@ def full_degree_differences(n: int, t0: int, part: int, fingerprint) -> list[lis
     lattice fingerprint along t = t0 + part * s, from the tables at
     s = 0..n (ValueError when one is not integral)."""
     den, basis = fingerprint
-    return _forward_differences([_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis) for s in range(n + 1)])
+    products = _basis_products(basis)
+    return _forward_differences([_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products) for s in range(n + 1)])
 
 
 def resultant_field_discriminant(n: int, t: int) -> int:

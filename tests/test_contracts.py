@@ -1,15 +1,25 @@
 """Source-level contracts of the library: checks that survive `python -O`,
 the one owner of the 3 | n parameter rule, the names the benchmark tracer
-wraps, and caches that never change a result."""
+wraps, caches that never change a result, what CLI start-up imports, the
+public names, and the semantics of the record types."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
+import simplestfields
 from simplestfields.cli import main
+from simplestfields.family import CheckReport, specialize
+from simplestfields.identities import IdentityResult
+from simplestfields.numberfield import FieldElt, NumberField, field_elt, field_trace_powers, number_field
+from simplestfields.orders import Order, power_order
+from simplestfields.periodicity import check_dual_denominator_table, dual_basis, period_scan
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "simplestfields"
@@ -125,6 +135,13 @@ def test_caches_leave_no_trace_in_a_result(capsys):
     assert docs[0] == docs[1]
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stripped stdout of code, run in a fresh interpreter that imports
+    simplestfields from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_cli_import_loads_no_process_pool():
     """Importing the CLI and building its parser leaves the process-pool
     machinery unloaded: only a scan with workers > 1 imports it."""
@@ -132,6 +149,109 @@ def test_cli_import_loads_no_process_pool():
         "import sys, simplestfields.cli as cli; cli.build_parser(); "
         "print('concurrent.futures.process' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_stdout(code) == "False"
+
+
+# Modules CLI start-up does without: dataclasses (with inspect, which it
+# imports) and the identity suite with its cyclotomic arithmetic.
+START_UP_UNLOADED = ("dataclasses", "inspect", "simplestfields.cyclo", "simplestfields.identities")
+
+
+@pytest.mark.parametrize(
+    "step, loaded",
+    [
+        ("pass", []),
+        ("simplestfields.CycloRing", ["simplestfields.cyclo"]),
+        ("cli.main(['identities', '--n-max', '3', '--seed', '1'])", ["simplestfields.cyclo", "simplestfields.identities"]),
+    ],
+)
+def test_cli_start_up_loads_no_dataclasses_or_identity_suite(step, loaded):
+    """Importing the CLI and building its parser loads none of
+    START_UP_UNLOADED, though dir(simplestfields) lists the cyclotomic names;
+    touching one of them loads cyclo, and the identities command loads
+    identities (and cyclo with it)."""
+    code = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        import simplestfields, simplestfields.cli as cli
+
+        cli.build_parser()
+        with contextlib.redirect_stdout(io.StringIO()):
+            {step}
+        print("CycloRing" in dir(simplestfields))
+        print(sorted(m for m in {START_UP_UNLOADED!r} if m in sys.modules))
+        """
+    )
+    assert _fresh_stdout(code).splitlines() == ["True", repr(loaded)]
+
+
+def test_every_public_name_resolves():
+    """Every name in __all__ resolves, the cyclotomic ones through the
+    package's module __getattr__, and `from simplestfields import *` binds
+    each of them; an unknown name raises AttributeError."""
+    for name in simplestfields.__all__:
+        assert getattr(simplestfields, name) is not None, name
+    namespace = {}
+    exec("from simplestfields import *", namespace)
+    assert set(simplestfields.__all__) <= set(namespace)
+    assert {"CycloRing", "sqrt_minus_three"} <= set(dir(simplestfields))
+    with pytest.raises(AttributeError):
+        simplestfields.no_such_name
+
+
+def _records() -> list:
+    """One instance of each record type of the library."""
+    field = number_field(3, 1)
+    return [
+        specialize(3, 1),
+        CheckReport(True, 0),
+        IdentityResult("name", True),
+        field,
+        field_elt(field, [1, 2]),
+        power_order(field),
+        dual_basis(field),
+        check_dual_denominator_table([2], 1),
+        period_scan(2, 4, range(-8, 9)),
+    ]
+
+
+def test_record_fields_cannot_be_assigned():
+    """Every field of every record type is read-only."""
+    records = _records()
+    assert len({type(r) for r in records}) == 9
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_order_equality_follows_field_den_basis():
+    """Orders compare and hash on (field, den, basis); a cached table does
+    not enter."""
+    field = number_field(3, 1)
+    a = power_order(field)
+    b = Order(field, 1, a.basis)
+    a.table
+    assert a == b and hash(a) == hash(b)
+    assert a in {b}
+    assert a != Order(number_field(3, 2), 1, a.basis)
+    assert a != Order(field, 3, a.basis)
+    assert a != Order(field, 1, ((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_field_element_rejects_a_nonpositive_denominator(den):
+    with pytest.raises(ValueError):
+        FieldElt(number_field(3, 1), (1, 0, 0), den)
+
+
+def test_number_field_keys_the_trace_cache():
+    """An equal NumberField built apart from number_field hits the
+    field_trace_powers cache and gets the very tuple cached for the field."""
+    field = number_field(5, 2)
+    traces = field_trace_powers(field, 8)
+    hits = field_trace_powers.cache_info().hits
+    twin = NumberField(*field)
+    assert twin is not field and twin == field and hash(twin) == hash(field)
+    assert field_trace_powers(twin, 8) is traces
+    assert field_trace_powers.cache_info().hits == hits + 1

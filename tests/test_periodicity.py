@@ -474,14 +474,22 @@ def test_scan8_forms_each_table_and_radical_once(monkeypatch):
     """On the scan8 inputs each of the 43 certificates takes its sample s = 0
     from the saturation that found its order (the stopping round's table,
     equal to the table formed afresh at t0), so the scan forms 144 tables,
-    not 187.  Its 189 misses of the _radical_kernel memo compute 67
-    radicals, one per distinct table mod p."""
+    not 187, and their basis products from the same order, so it forms
+    them 43 times, not 86.  Its 189 misses of the _radical_kernel memo
+    compute 67 radicals, one per distinct table mod p."""
     tables = [0]
     real_table = orders._mult_table
 
     def counted(*args):
         tables[0] += 1
         return real_table(*args)
+
+    products = [0]
+    real_products = orders._basis_products
+
+    def counted_products(basis):
+        products[0] += 1
+        return real_products(basis)
 
     handed = []
     real_certificate = periodicity.class_certificate
@@ -491,16 +499,20 @@ def test_scan8_forms_each_table_and_radical_once(monkeypatch):
         return real_certificate(*args)
 
     monkeypatch.setattr(orders, "_mult_table", counted)
+    monkeypatch.setattr(orders, "_basis_products", counted_products)
     monkeypatch.setattr(periodicity, "class_certificate", logged)
     orders._radical_kernel.cache_clear()
     orders._radical.cache_clear()
     period_scan(8, 432, range(-500, 501))
     assert tables[0] == 144
+    assert products[0] == 43
     assert orders._radical_kernel.cache_info().misses == 189
     assert orders._radical.cache_info().misses == 67
     assert len(handed) == 43
-    for n, p, part, t0, (den, basis), gate, table in handed:
-        assert table == real_table(specialize(n, t0).poly.coeffs, den, basis), (p, t0)
+    for n, p, part, t0, fp, gate, order in handed:
+        den, basis = order.fingerprint
+        assert fp == order.fingerprint and order.field.t == t0, (p, t0)
+        assert order.table == real_table(specialize(n, t0).poly.coeffs, den, basis, real_products(basis)), (p, t0)
 
 
 def _n12_slice_residues():
@@ -643,7 +655,7 @@ def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
         for s in range(2 * period):
             t = t0 + part * s
             if disc_quadratic(n, t) % (p * p):
-                table = orders._mult_table(specialize(n, t).poly.coeffs, den, basis)
+                table = orders._mult_table(specialize(n, t).poly.coeffs, den, basis, orders._basis_products(basis))
                 keys.append((s, orders._table_key(p, table)))
         in_order = [key for _, key in keys]
         assert checked == in_order[: len(checked)] and set(checked) == set(in_order)
@@ -736,9 +748,10 @@ def test_class_certificate_builds_d_plus_two_tables(monkeypatch):
 
 
 def test_class_certificate_takes_the_handed_sample(monkeypatch):
-    """Handed the table of the saturation at t0 (Order.table), a certificate
-    forms only the other d + 1 = 3 sample tables, with the same verdict as
-    when it forms all four itself."""
+    """Handed the saturated order at t0, a certificate takes its table
+    (Order.table) as the sample s = 0 and forms only the other d + 1 = 3
+    sample tables, from the order's basis products (Order.products), with
+    the same verdict as when it forms all four and the products itself."""
     tables = [0]
     real = orders._mult_table
 
@@ -749,9 +762,10 @@ def test_class_certificate_takes_the_handed_sample(monkeypatch):
     n, p, part = 8, 3, 27
     t0 = _class_members(n, p, part, 1, 1)[0]
     o = orders.p_maximal_order(number_field(n, t0), p)
-    table = o.table
+    o.table
     monkeypatch.setattr(orders, "_mult_table", counted)
-    assert orders.class_certificate(n, p, part, t0, o.fingerprint, "strict", table) == (True, "ok")
+    monkeypatch.setattr(orders, "_basis_products", lambda basis: pytest.fail("products formed again"))
+    assert orders.class_certificate(n, p, part, t0, o.fingerprint, "strict", o) == (True, "ok")
     assert tables[0] == 3
 
 
