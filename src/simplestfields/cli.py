@@ -7,13 +7,16 @@ schema, command, status, then result or error, then timing_ms; each level
 is indented by 2 spaces, strings are ASCII-escaped as json.dumps escapes
 them, and --out receives the same bytes as stdout.  _json writes the text in
 one pass over the payload: the bytes json.dumps(indent=2) writes for the
-payload's JSON copy.  Exit codes and document statuses: 0 "ok", 1 "fail"
-(verification failure), 2 "usage-error" (an argument the library rejects
-with ValueError, or an --out path that cannot be written, whose document
-then goes to stdout; argparse rejects malformed command lines with exit 2
-before any document), 3 "not-covered" (parameter outside the certified
-hypotheses), and 4 when the reader closes stdout before the whole document
-is written (no traceback; the rest of the document is discarded).
+payload's JSON copy.  A value the payload holds in many places, such as a
+period scan's basis, is a _Shared node: its text is written once per
+indentation and copied wherever else it occurs, with the same bytes.  Exit
+codes and document statuses: 0 "ok", 1 "fail" (verification failure), 2
+"usage-error" (an argument the library rejects with ValueError, or an --out
+path that cannot be written, whose document then goes to stdout; argparse
+rejects malformed command lines with exit 2 before any document), 3
+"not-covered" (parameter outside the certified hypotheses), and 4 when the
+reader closes stdout before the whole document is written (no traceback;
+the rest of the document is discarded).
 """
 
 import argparse
@@ -43,11 +46,23 @@ EXIT_CODES = {"ok": 0, "fail": 1, "usage-error": 2, "not-covered": 3}
 EXIT_OUTPUT_CLOSED = 4
 
 
+class _Shared:
+    """A value that a payload holds in many places, with its text kept per
+    indentation: _json writes it once for each indentation it meets."""
+
+    __slots__ = ("value", "texts")
+
+    def __init__(self, value):
+        self.value = value
+        self.texts = {}
+
+
 def _json(x, pad: str = "\n") -> str:
     """The document text of x, where pad is the line break and indentation
     of the line x starts on: an int (not a bool) as a quoted decimal, a
     Fraction as a quoted integer or {"num", "den"}, a dict with str(key)
-    keys in insertion order, and each nesting level 2 spaces deeper."""
+    keys in insertion order, a _Shared node as its value, and each nesting
+    level 2 spaces deeper."""
     if x is None or x is True or x is False:
         return "null" if x is None else "true" if x else "false"
     if isinstance(x, int):
@@ -56,6 +71,11 @@ def _json(x, pad: str = "\n") -> str:
         return encode_basestring_ascii(x)
     if isinstance(x, float):  # timing_ms
         return float.__repr__(x)
+    if type(x) is _Shared:
+        text = x.texts.get(pad)
+        if text is None:
+            text = x.texts[pad] = _json(x.value, pad)
+        return text
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return f'"{x.numerator}"'
@@ -64,15 +84,23 @@ def _json(x, pad: str = "\n") -> str:
     if isinstance(x, dict):
         if not x:
             return "{}"
-        # a generator, so no list of the items outlives the join
-        items = (encode_basestring_ascii(str(k)) + ": " + _json(v, inner) for k, v in x.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        # one join of the pieces: concatenating them would copy every
+        # partial text, and copies freed around kept shared texts fragment the heap
+        pieces = ["{"]
+        for k, v in x.items():
+            pieces += (inner, encode_basestring_ascii(str(k)), ": ", _json(v, inner), ",")
+        pieces[-1] = pad + "}"
+        return "".join(pieces)
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         if all(type(v) is int for v in x):  # a basis row or coefficient list, in one join
             return "[" + inner + '"' + ('",' + inner + '"').join(map(str, x)) + '"' + pad + "]"
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in x) + pad + "]"
+        pieces = ["["]
+        for v in x:
+            pieces += (inner, _json(v, inner), ",")
+        pieces[-1] = pad + "]"
+        return "".join(pieces)
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
@@ -159,6 +187,15 @@ def cmd_dual_basis(args) -> tuple[str, dict]:
 
 
 def _scan_payload(report) -> dict:
+    shared = {}  # one node per distinct basis, keyed by value: the slices of a --workers scan share it too
+
+    def member(t, fp):
+        den, basis = fp
+        node = shared.get(basis)
+        if node is None:
+            node = shared[basis] = _Shared(basis)
+        return {"t": t, "den": den, "basis": node}
+
     return {
         "modulus": report.modulus,
         "gate": report.gate,
@@ -166,7 +203,7 @@ def _scan_payload(report) -> dict:
         "inconsistent_classes": report.inconsistent,
         "scanned_classes": report.scanned_classes,
         "classes": {
-            r: [{"t": t, "den": fp[0], "basis": fp[1]} for t, fp in members]
+            r: [member(t, fp) for t, fp in members]
             for r, members in sorted(report.classes.items())
         },
         "skipped": [{"t": t, "reason": reason} for t, reason in report.skipped],

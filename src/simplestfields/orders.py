@@ -563,12 +563,12 @@ def _dedekind_test(field: NumberField, p: int) -> tuple[int, list[int]]:
 def _dedekind_order(field: NumberField, p: int, u: list[int]) -> Order:
     """Z[beta] + (U(beta) / p) Z[beta] for (m, U) = _dedekind_test(field, p)
     with m = n - deg U > 0: spanned over p by U beta^i, i < m (degree
-    n - m + i < n, so no reduction), and p beta^i.  Each U beta^i / p must be
-    an algebraic integer."""
+    n - m + i < n, so no reduction), and p beta^i.  U(beta) / p must be an
+    algebraic integer; then so is each U beta^i / p, so it alone is tested."""
     n = field.n
     m = n + 1 - len(u)
     rows = [[0] * i + u + [0] * (m - 1 - i) for i in range(m)]
-    if not all(is_algebraic_integer(field_elt(field, row, p)) for row in rows):
+    if not is_algebraic_integer(field_elt(field, rows[0], p)):
         raise AssertionError(f"Dedekind's order at p={p} is not integral")
     rows += [[p if j == i else 0 for j in range(n)] for i in range(n)]
     return make_order(field, p, rows)
@@ -772,7 +772,12 @@ def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
 
 def join_orders(field: NumberField, orders) -> Order:
     """The order generated by the p-maximal orders of the candidate primes:
-    all bases over the lcm of their denominators, canonicalized."""
+    all bases over the lcm of their denominators, canonicalized.  Every part
+    contains Z[beta] and a part with den 1 is Z[beta], so with at most one
+    part of den > 1 the join is that part, or Z[beta], with no HNF."""
+    larger = [o for o in orders if o.den > 1]
+    if len(larger) <= 1:
+        return Order(field, larger[0].den, larger[0].basis) if larger else power_order(field)
     den = 1
     for o in orders:
         den = lcm(den, o.den)

@@ -38,7 +38,7 @@ from math import comb, gcd, lcm
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import adjugate, left_kernel_mod_p
-from simplestfields.cli import SCHEMA, build_parser
+from simplestfields.cli import SCHEMA, _Shared, build_parser
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
     field_elt,
@@ -737,9 +737,11 @@ def brute_force_fp_radical(a: list[int], p: int) -> list[int]:
 def jsonable(x):
     """x in the JSON types: ints (not bools) as decimal strings, a Fraction
     as a decimal string or {"num", "den"}, dict keys as str(key), tuples as
-    lists."""
+    lists, and a shared node as its value, copied wherever it occurs."""
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
+    if isinstance(x, _Shared):
+        return jsonable(x.value)
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Fraction):

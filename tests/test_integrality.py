@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,8 @@ from simplestfields.orders import (
     candidate_primes,
     denominator_bound,
     integral_basis,
+    join_orders,
+    make_order,
     order_discriminant,
     p_maximal_order,
     parameter_gate,
@@ -243,6 +246,24 @@ def test_integral_basis_gate():
         integral_basis(number_field(6, 5))
     with pytest.raises(ParameterNotCoveredError):
         integral_basis(number_field(2, 1))  # quadratic value 3: no witness prime
+
+
+def test_join_with_at_most_one_larger_part_is_that_part():
+    """Over every gate-passing |t| <= 40, n = 2..12, the joins whose parts
+    have den > 1 at no more than one prime, which skip the HNF, equal
+    make_order of all parts over the lcm of their denominators."""
+    skipped = 0
+    for n in range(2, 13):
+        for t in range(-40, 41):
+            if not parameter_gate(n, t)[0]:
+                continue
+            field = number_field(n, t)
+            parts = [p_maximal_order(field, p) for p in candidate_primes(n)]
+            den = lcm(*(o.den for o in parts))
+            rows = [[den // o.den * x for x in row] for o in parts for row in o.basis]
+            assert join_orders(field, parts) == make_order(field, den, rows), (n, t)
+            skipped += sum(o.den > 1 for o in parts) <= 1
+    assert skipped == 512
 
 
 def test_order_discriminant_examples():
@@ -718,6 +739,29 @@ def test_dedekind_order_is_one_radical_round():
             assert o1 == enlarged and o1.index == p**m, (n, t, p)
         maximal += m == 0
     assert (len(cases), maximal) == (1377, 557)
+
+
+def test_dedekind_order_rejects_a_corrupted_u(monkeypatch):
+    """_dedekind_order tests only U(beta) / p for integrality, once per
+    order: U beta^i / p is that element times beta^i.  A U whose constant
+    term is off by 1, so that U(beta) / p is not integral, still raises."""
+    calls = [0]
+    real = orders.is_algebraic_integer
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(orders, "is_algebraic_integer", counted)
+    for n, t, p in ((6, 1, 2), (10, 3, 2), (12, 1, 2)):
+        field = number_field(n, t)
+        m, u = _dedekind_test(field, p)
+        assert m > 1, (n, t, p)
+        calls[0] = 0
+        assert _dedekind_order(field, p, u).index == p**m
+        assert calls[0] == 1
+        with pytest.raises(AssertionError, match="not integral"):
+            _dedekind_order(field, p, [u[0] + 1] + u[1:])
 
 
 def test_enumerate_takes_no_round_where_z_beta_is_p_maximal(monkeypatch):
