@@ -14,7 +14,9 @@ codes and document statuses: 0 "ok", 1 "fail" (verification failure), 2
 "usage-error" (an argument the library rejects with ValueError, or an --out
 path that cannot be written, whose document then goes to stdout; argparse
 rejects malformed command lines with exit 2 before any document), 3
-"not-covered" (parameter outside the certified hypotheses), and 4 when the
+"not-covered" (parameter outside the certified hypotheses, or a number
+that factoring cannot split within numutil.RHO_ITERATION_BUDGET rho
+iterations: Q(t), or a period-scan modulus), and 4 when the
 reader closes stdout before the whole document is written (no traceback;
 the rest of the document is discarded).
 """
@@ -29,6 +31,7 @@ from json.encoder import encode_basestring_ascii
 
 from .family import companion_poly, disc_quadratic, family_poly, specialize
 from .numberfield import ParameterNotCoveredError, number_field
+from .numutil import FactoringError
 from .orders import integral_basis, order_discriminant, period_length_bound
 from .periodicity import (
     FINAL_PERIOD_TABLE,
@@ -364,7 +367,7 @@ def main(argv=None) -> int:
     try:
         status, result = args.func(args)
         fields = {"result": result}
-    except ParameterNotCoveredError as exc:  # a ValueError, so it must come first
+    except (ParameterNotCoveredError, FactoringError) as exc:  # before ValueError, which the first subclasses
         status, fields = "not-covered", {"error": str(exc)}
     except ValueError as exc:
         status, fields = "usage-error", {"error": str(exc)}

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from ._kernels import zx_mulmod
 from .family import disc_quadratic, discriminant_formula_t, parameter_scale, specialize
-from .numutil import factorize
+from .numutil import FactoringError, factorize
 from .poly import Poly, discriminant
 
 
@@ -61,7 +61,8 @@ def number_field(n: int, t: int) -> NumberField:
     proves equal to the resultant discriminant of f_t for every t, once per
     degree.  The witness is read off the factorization of the parameter
     quadratic and verified: the shifted minimal polynomial must be
-    Eisenstein at it.
+    Eisenstein at it.  Raises ParameterNotCoveredError where that
+    factorization runs out of its budget (quadratic_factorization).
     """
     f = specialize(n, t).poly
     _discriminant_law(n)
@@ -171,8 +172,14 @@ def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
 def quadratic_factorization(n: int, t: int) -> tuple[tuple[int, int], ...]:
     """The (prime, exponent) pairs of the parameter quadratic Q(t), ascending.
     The parameter gate and number_field both read it, so each Q(t) is
-    factored once."""
-    return tuple(factorize(disc_quadratic(n, t)).items())
+    factored once.  Raises ParameterNotCoveredError when Q(t) cannot be
+    factored within numutil.RHO_ITERATION_BUDGET: whether it is squarefree
+    is then undecided."""
+    q = disc_quadratic(n, t)
+    try:
+        return tuple(factorize(q).items())
+    except FactoringError as exc:
+        raise ParameterNotCoveredError(f"Q(t) = {q} is not factored: {exc}") from None
 
 
 def witness_prime(fac: tuple[tuple[int, int], ...]) -> int | None:

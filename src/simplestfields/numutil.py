@@ -8,6 +8,15 @@ TRIAL_DIVISION_BOUND, and each size is sieved once per process: the
 quadratics of parameters |t| < 10^4 stay below 10^8 and need primes below
 2^14 only, so no caller pays for the primes up to 10^6 unless its input
 is that large.
+
+Brent-rho gets RHO_ITERATION_BUDGET steps x -> x^2 + c per cofactor, counted
+in iterations, never in time, so whether an input factors does not depend
+on the host.  A product of two 32-bit primes took at most 2^18 steps in
+samples, and one of 36-bit primes 2^19, so the quadratic of a parameter
+|t| < 10^9 (below 2^60, so a composite cofactor left by trial division has a
+prime factor below 2^30) should factor well within it.  Past the budget,
+factorize raises FactoringError, which names the bit length of the cofactor
+left unsplit.
 """
 
 from fractions import Fraction
@@ -15,6 +24,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 TRIAL_DIVISION_BOUND = 1_000_000
+RHO_ITERATION_BUDGET = 1 << 21
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -55,15 +65,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class FactoringError(ArithmeticError):
+    """Raised when Brent-rho finds no factor of a composite within its budget."""
+
+
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n (deterministic parameter sweep)."""
+    """A nontrivial factor of an odd composite n (deterministic parameter
+    sweep).  Each block of Brent's cycle search is charged its 2r steps
+    before it runs, over every c, and FactoringError is raised when the next
+    block would pass RHO_ITERATION_BUDGET; the backtrack after a block whose
+    gcd is n repeats at most the m = 128 steps of its last stretch."""
     if n % 2 == 0:
         return 2
+    spent = 0
     for c in range(1, 100):
         y, m = 2, 128
         g = r = q = 1
         x = ys = 0
         while g == 1:
+            spent += 2 * r
+            if spent > RHO_ITERATION_BUDGET:
+                raise FactoringError(f"no factor of a {n.bit_length()}-bit cofactor within {RHO_ITERATION_BUDGET} rho iterations")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -83,7 +105,7 @@ def _brent_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise FactoringError(f"rho failed to split a {n.bit_length()}-bit cofactor")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -91,7 +113,8 @@ def factorize(n: int) -> dict[int, int]:
 
     When trial division stops at a prime p with p^2 > n, a cofactor n > 1 has
     no prime factor below p, so it is prime and needs no test.  Only a
-    cofactor left when the sieve runs out goes to is_prime and Brent-rho."""
+    cofactor left when the sieve runs out goes to is_prime and Brent-rho,
+    and FactoringError is raised when rho cannot split a composite one."""
     if n == 0:
         raise ValueError("factorization of zero undefined")
     n = abs(n)

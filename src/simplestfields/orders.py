@@ -54,8 +54,11 @@ p-maximal order when f is p-regular (where it exists, that holds at every
 sampled (n, p) but (10, 2) and (12, 3), where it may be a proper
 sub-order); under the enumerate strategy, Dedekind's order below.  The
 docstring of _saturate states which starts each strategy tries, in which
-order.  A transported or polygon start is a make_order fingerprint (den,
-HNF) with den a power of p.  The radical strategy uses it only when the
+order.  A polygon start is an Order from make_order, and a transported
+start is the fingerprint (den, HNF) of one, which _saturate re-homes in the
+field as Order(field, *start); den is a power of p either way.  A period
+scan keeps only fingerprints between members, because an Order keeps its
+table and basis products.  The radical strategy uses a start only when the
 lattice over den contains den * beta^i for every i and is closed under all
 n(n+1)/2 products of its basis rows under the defining polynomial: it is
 then an order of p-power index over Z[beta], so it lies in the p-maximal
@@ -125,7 +128,9 @@ class Order(_Lattice):
 
     It is a ring (an order) for p-maximal orders, for the outputs of radical
     rounds (multiplier rings) and for joins of those; an intermediate
-    lattice of the enumerate strategy need not be closed under products.
+    lattice of the enumerate strategy need not be closed under products, and
+    a start or certificate lattice is checked for Z[beta] and closure first
+    (_start_order, _integral_start, class_certificate).
     It compares and hashes as the tuple (field, den, basis), whose fields
     cannot be assigned; having no __slots__, it keeps its cached properties
     in an instance __dict__.
@@ -156,9 +161,13 @@ class Order(_Lattice):
 
     @cached_property
     def products(self) -> list[list[int]]:
-        """_basis_products(basis), formed on first use and kept, so the table
-        and the other samples of a class certificate share them."""
-        return _basis_products(self.basis)
+        """The products basis_i * basis_j for i <= j, row by row, as
+        polynomials not yet reduced mod any f: the part of a table that is
+        free of f, formed on first use and kept, so the table and the other
+        samples of a class certificate share them.  An HNF row i is 0 past
+        column i, so it is multiplied without that tail."""
+        rows = [row[: i + 1] for i, row in enumerate(self.basis)]
+        return [zx_mul(a, b) for i, a in enumerate(rows) for b in rows[i:]]
 
     @cached_property
     def table(self) -> list[int]:
@@ -166,7 +175,7 @@ class Order(_Lattice):
         polynomial (_mult_table), formed on first use and kept, so the start
         check, the radical round and the class certificate of one order share
         it.  Raises ValueError when the lattice is not closed under products."""
-        return _mult_table(self.field.poly.coeffs, self.den, self.basis, self.products)
+        return _mult_table(self, self.field.poly.coeffs)
 
 
 def make_order(field: NumberField, den: int, rows) -> Order:
@@ -202,29 +211,20 @@ def order_discriminant(o: Order) -> int:
     return q
 
 
-def _basis_products(basis) -> list[list[int]]:
-    """The products basis_i * basis_j for i <= j, row by row, as polynomials
-    not yet reduced mod any f: the part of a table that is free of f.  An
-    HNF row i is 0 past column i, so it is multiplied without that tail."""
-    rows = [row[: i + 1] for i, row in enumerate(basis)]
-    return [zx_mul(a, b) for i, a in enumerate(rows) for b in rows[i:]]
-
-
-def _mult_table(f, den: int, basis, products) -> list[int]:
-    """The multiplication table of the lattice whose numerators over den are
-    the rows of basis, under the monic polynomial with coefficients f (lowest
-    degree first): the coordinates of basis_i * basis_j over the basis for
-    i <= j, row by row, in one flat list.
+def _mult_table(lattice: Order, f) -> list[int]:
+    """The multiplication table of the lattice under the monic polynomial
+    with coefficients f (lowest degree first): the coordinates of
+    basis_i * basis_j over the basis for i <= j, row by row, in one flat
+    list.
 
     The product of two numerators over den is a numerator over den^2, so its
-    coordinates solve c . (den * basis) = basis_i * basis_j mod f.  products
-    is _basis_products(basis), formed once per lattice (Order.products), so
-    that the tables of one lattice under many polynomials share it
-    (class_certificate).  Raises ValueError when a product is not in the
-    lattice over den.
+    coordinates solve c . (den * basis) = basis_i * basis_j mod f.  The
+    products are the lattice's own (Order.products), formed once, so that
+    its tables under many polynomials share them (class_certificate).
+    Raises ValueError when a product is not in the lattice over den.
     """
-    scaled = [[den * x for x in row] for row in basis]
-    return [x for product in products for x in solve_lower_coords(scaled, zx_mod(product, f))]
+    scaled = [[lattice.den * x for x in row] for row in lattice.basis]
+    return [x for product in lattice.products for x in solve_lower_coords(scaled, zx_mod(product, f))]
 
 
 def _combine(coeffs, vectors, m: int):
@@ -458,8 +458,8 @@ def _contains_power_basis(den: int, basis) -> bool:
     return True
 
 
-def _polygon_start(field: NumberField, p: int) -> Fingerprint | None:
-    """Ore's first-order lattice at p for phi = X - a, as a start fingerprint
+def _polygon_start(field: NumberField, p: int) -> Order | None:
+    """Ore's first-order lattice at p for phi = X - a, as a start
     (Montes-Nart, "On a theorem of Ore", J. Algebra 146 (1992)), or None
     unless exactly one a in 0..p-1 has f(a) = f'(a) = 0 mod p.
 
@@ -490,7 +490,7 @@ def _polygon_start(field: NumberField, p: int) -> Fingerprint | None:
     for j in range(n):
         q = Poly(c[n - j :]).shift(-a).coeffs
         rows.append([p ** (top - ks[j]) * x for x in q] + [0] * (n - 1 - j))
-    return make_order(field, p**top, rows).fingerprint
+    return make_order(field, p**top, rows)
 
 
 def _fp_trim(a, p: int) -> list[int]:
@@ -574,14 +574,11 @@ def _dedekind_order(field: NumberField, p: int, u: list[int]) -> Order:
     return make_order(field, p, rows)
 
 
-def _start_order(field: NumberField, start) -> Order | None:
-    """The order of the fingerprint start = (den, HNF rows), its table formed,
-    or None unless the lattice over den contains Z[beta] and is closed under
-    multiplication."""
-    den, basis = start
-    if not _contains_power_basis(den, basis):
+def _start_order(order: Order) -> Order | None:
+    """The start order, its table formed, or None unless its lattice
+    contains Z[beta] and is closed under multiplication."""
+    if not _contains_power_basis(order.den, order.basis):
         return None
-    order = Order(field, den, tuple(tuple(r) for r in basis))
     try:
         order.table  # formed here, and read again by the first round
     except ValueError:  # a product is outside the lattice over den
@@ -589,25 +586,22 @@ def _start_order(field: NumberField, start) -> Order | None:
     return order
 
 
-def _integral_start(field: NumberField, start) -> Order | None:
-    """The lattice of the fingerprint start = (den, HNF rows), or None unless
-    it contains Z[beta] and each row over den is an algebraic integer.  Then
-    the whole lattice is integral, and with den a power of p it lies in the
-    p-maximal order, which is all an enumerate sweep needs of its lattice;
-    no multiplication table is formed."""
-    den, basis = start
-    if not _contains_power_basis(den, basis):
+def _integral_start(order: Order) -> Order | None:
+    """The start order, or None unless its lattice contains Z[beta] and each
+    row over den is an algebraic integer.  Then the whole lattice is
+    integral, and with den a power of p it lies in the p-maximal order,
+    which is all an enumerate sweep needs of its lattice; no multiplication
+    table is formed."""
+    if not _contains_power_basis(order.den, order.basis):
         return None
-    if not all(is_algebraic_integer(field_elt(field, row, den)) for row in basis):
+    if not all(is_algebraic_integer(field_elt(order.field, row, order.den)) for row in order.basis):
         return None
-    return Order(field, den, tuple(tuple(r) for r in basis))
+    return order
 
 
-def class_certificate(
-    n: int, p: int, part: int, t0: int, fingerprint: Fingerprint, gate: str = "strict", order: Order | None = None
-) -> tuple[bool, str]:
-    """Prove that fingerprint = (den, HNF), the p-maximal order at t0, is the
-    p-maximal order at every t = t0 + part * s (s in Z) that the gate
+def class_certificate(order: Order, p: int, part: int, gate: str = "strict") -> tuple[bool, str]:
+    """Prove that order, the p-maximal order of its field at t0 = order.field.t,
+    is the p-maximal order at every t = t0 + part * s (s in Z) that the gate
     passes.  Returns (ok, reason).
 
     f_t = g + t * h is monic with integer coefficients.  For the fixed
@@ -642,32 +636,27 @@ def class_certificate(
         mod p^2 has period p^2, which divides P, so every gate-passing t of
         the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
-    the one saturation finds.  The d + 2 sample tables come from specialize
-    (no field is built or cached) and none is kept.  order, when given, is
-    the order at t0 with this fingerprint, as saturation returned it: a
-    period scan passes it, so its table (the stopping round's Order.table)
-    is the sample s = 0, only the other d + 1 are formed here, and they
-    reuse its basis products (Order.products).
+    the one saturation finds.  The sample s = 0 is order.table, which a
+    period scan hands over formed by the stopping round; the other d + 1
+    come from specialize (no field is built or cached), share the order's
+    basis products (Order.products), and are not kept.
     Raises ValueError for an unknown gate, part = 0 or a den that is not a
     power of p.
     """
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
-    den, basis = fingerprint
+    n, t0, den = order.n, order.field.t, order.den
     a = p_adic_valuation(den, p)
     if den != p**a:
         raise ValueError(f"the denominator {den} is not a power of {p}")
-    if not _contains_power_basis(den, basis):
+    if not _contains_power_basis(den, order.basis):
         return False, "the lattice does not contain Z[beta]"
     v = p_adic_valuation(part, p)
     d = n - 1 if v == 0 else min(n - 1, -(-(2 * a + 2) // v) - 1)
-    if order is None:
-        products, level = _basis_products(basis), []
-    else:
-        products, level = order.products, [order.table]
-    for s in range(len(level), d + 2):
+    level = []
+    for s in range(d + 2):
         try:
-            level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
+            level.append(_mult_table(order, specialize(n, t0 + part * s).poly.coeffs) if s else order.table)
         except ValueError:
             return False, f"the lattice is not closed under products at t={t0 + part * s}"
     diffs = []  # D^0, ..., D^(d+1) as table cells
@@ -701,9 +690,9 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     """p_maximal_order for a strategy already known to be valid.
 
     start is None or the fingerprint of a p-maximal order of the same degree
-    (so canonical, with den a power of p).  This is the one statement of
-    the order in which each strategy tries its starts; saturation runs from
-    the first one accepted:
+    (so canonical, with den a power of p), checked as Order(field, *start).
+    This is the one statement of the order in which each strategy tries its
+    starts; saturation runs from the first one accepted:
       * radical: start, then _polygon_start(field, p), whichever _start_order
         accepts first, else Z[beta]; the table formed by the check serves
         the first radical round;
@@ -724,14 +713,14 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
         m, u = _dedekind_test(field, p)
         if not m:
             return power_order(field)
-        order = (None if start is None else _integral_start(field, start)) or _dedekind_order(field, p, u)
+        order = (None if start is None else _integral_start(Order(field, *start))) or _dedekind_order(field, p, u)
         while (enlarged := _enumerate_round(order, p)) is not None:
             order = enlarged
         return order
-    order = None if start is None else _start_order(field, start)
+    order = None if start is None else _start_order(Order(field, *start))
     if order is None:
         polygon = _polygon_start(field, p)
-        order = None if polygon is None else _start_order(field, polygon)
+        order = None if polygon is None else _start_order(polygon)
     if order is None:
         order = power_order(field)
     while (enlarged := _radical_round(order, p)) is not None:
@@ -756,11 +745,16 @@ def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     """Check the squarefree hypothesis on the parameter quadratic (on its
     3-free part under the relaxed gate) plus the existence of an Eisenstein
     witness prime, both from the memoized factorization of Q(t) that
-    number_field reads again.  Returns (ok, reason)."""
+    number_field reads again.  Returns (ok, reason); a Q(t) that cannot be
+    factored within its budget fails, with the reason of
+    quadratic_factorization."""
     if gate not in GATES:
         raise ValueError(f"unknown gate {gate!r}")
     q = disc_quadratic(n, t)
-    fac = quadratic_factorization(n, t)
+    try:
+        fac = quadratic_factorization(n, t)
+    except ParameterNotCoveredError as exc:
+        return False, str(exc)
     square = next((p for p, e in fac if e > 1 and (gate == "strict" or p != 3)), None)
     if square is not None:
         tested = q if gate == "strict" else three_free_part(q)

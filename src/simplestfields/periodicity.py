@@ -265,12 +265,14 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     saturated at its first gate-passing member and, under the radical
     strategy, certified there; its later members take that order.  A
     certificate reads d + 2 <= n + 1 sample tables, fewer as v grows (see
-    orders.class_certificate), and is handed the saturated order at t0,
+    orders.class_certificate), and certifies the saturated order at t0,
     whose table the stopping round formed (Order.table) and whose basis
     products serve the other samples; the threshold stays at n members
     whatever d is.  Other classes are saturated member by member,
     from the last p-maximal order with den > 1 of the class when p^v > 1
-    (see orders._saturate for the starts it tries).
+    (see orders._saturate for the starts it tries); that start is kept as a
+    fingerprint, since an Order per class would keep its table and basis
+    products too.
     Joins are memoized per tuple of p-part fingerprints.  period_scan has
     already checked the gate and strategy names.
     """
@@ -296,7 +298,7 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
                 if o is None:
                     o = _saturate(field, p, strategy, starts.get(key))
                     if key not in certified and strategy == "radical" and members[key] > n:
-                        proved = class_certificate(n, p, part, t, o.fingerprint, gate, o)[0]
+                        proved = class_certificate(o, p, part, gate)[0]
                         certified[key] = o if proved else None
                     if part > 1 and o.den > 1:
                         starts[key] = o.fingerprint

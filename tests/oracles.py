@@ -57,7 +57,6 @@ from simplestfields.numutil import (
     three_free_part,
 )
 from simplestfields.orders import (
-    _basis_products,
     _combine,
     _contains_power_basis,
     _key_code,
@@ -563,21 +562,20 @@ def _forward_differences(level: list[list[int]]) -> list[list[int]]:
     return diffs
 
 
-def full_degree_class_certificate(n: int, p: int, part: int, t0: int, fingerprint) -> tuple[bool, str]:
+def full_degree_class_certificate(order, p: int, part: int) -> tuple[bool, str]:
     """orders.class_certificate under the strict gate, from n + 1 sample
     tables: every table cell is a polynomial of degree <= n - 1 in s along
-    t = t0 + part * s, so the tables at s = 0..n give its forward
-    differences D^0..D^(n-1) exactly and D^n = 0 checks the degree.  The
-    tables mod p^2 over one period of s then decide p-maximality."""
-    den, basis = fingerprint
+    t = t0 + part * s, t0 = order.field.t, so the tables at s = 0..n give its
+    forward differences D^0..D^(n-1) exactly and D^n = 0 checks the degree.
+    The tables mod p^2 over one period of s then decide p-maximality."""
+    n, t0, den = order.n, order.field.t, order.den
     assert den == p ** p_adic_valuation(den, p)
-    if not _contains_power_basis(den, basis):
+    if not _contains_power_basis(den, order.basis):
         return False, "the lattice does not contain Z[beta]"
-    products = _basis_products(basis)
     level = []
     for s in range(n + 1):
         try:
-            level.append(_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products))
+            level.append(_mult_table(order, specialize(n, t0 + part * s).poly.coeffs))
         except ValueError:
             return False, f"the lattice is not closed under products at t={t0 + part * s}"
     diffs = _forward_differences(level)
@@ -598,13 +596,12 @@ def full_degree_class_certificate(n: int, p: int, part: int, t0: int, fingerprin
     return True, "ok"
 
 
-def full_degree_differences(n: int, t0: int, part: int, fingerprint) -> list[list[int]]:
+def full_degree_differences(order, part: int) -> list[list[int]]:
     """The exact forward differences D^0..D^n at s = 0 of the table of the
-    lattice fingerprint along t = t0 + part * s, from the tables at
-    s = 0..n (ValueError when one is not integral)."""
-    den, basis = fingerprint
-    products = _basis_products(basis)
-    return _forward_differences([_mult_table(specialize(n, t0 + part * s).poly.coeffs, den, basis, products) for s in range(n + 1)])
+    order's lattice along t = t0 + part * s, t0 = order.field.t, from the
+    tables at s = 0..n (ValueError when one is not integral)."""
+    n, t0 = order.n, order.field.t
+    return _forward_differences([_mult_table(order, specialize(n, t0 + part * s).poly.coeffs) for s in range(n + 1)])
 
 
 def resultant_field_discriminant(n: int, t: int) -> int:

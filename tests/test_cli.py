@@ -3,14 +3,17 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import json_document
-from simplestfields import cli
+from simplestfields import cli, numutil
 from simplestfields.cli import EXIT_OUTPUT_CLOSED, main
+from simplestfields.numberfield import number_field, quadratic_factorization
+from simplestfields.periodicity import period_scan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -306,3 +309,52 @@ def test_closed_stdout_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OUTPUT_CLOSED == 4
     assert head == b'{\n  "schem' and err == b""
+
+
+def test_unfactorable_parameter_is_not_covered():
+    """At n = 5, t = 98765432109876543210987654321098765 trial division
+    leaves a 215-bit composite cofactor of Q(t) that Brent-rho does not
+    split within its budget: the CLI answers not-covered (exit 3) with that
+    reason, in well under 30 s, where it once searched without end."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["integral-basis", "--n", "5", "--t", "98765432109876543210987654321098765"]
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "simplestfields.cli", *argv], env=env, capture_output=True, timeout=30)
+    assert time.monotonic() - started < 30
+    doc = json.loads(proc.stdout)
+    assert (proc.returncode, doc["status"], proc.stderr) == (3, "not-covered", b"")
+    assert doc["error"].endswith("is not factored: no factor of a 215-bit cofactor within 2097152 rho iterations")
+
+
+def test_parameter_on_each_side_of_the_rho_budget(monkeypatch, capsys):
+    """At n = 5, Q(3000353) = 2394913 * 3758851 is left whole by trial
+    division, and Brent-rho splits it after 4094 charged steps.  With a
+    budget of 4093 the field is not-covered (exit 3) and a scan puts t in
+    skipped with that reason, as it does a gate-rejected t; with 4094 the
+    field answers and the scan keeps t."""
+    argv = ["integral-basis", "--n", "5", "--t", "3000353"]
+    for budget, code, status in ((4093, 3, "not-covered"), (4094, 0, "ok")):
+        monkeypatch.setattr(numutil, "RHO_ITERATION_BUDGET", budget)
+        quadratic_factorization.cache_clear()
+        number_field.cache_clear()
+        got, doc = run_cli(capsys, argv)
+        assert (got, doc["status"]) == (code, status), budget
+        quadratic_factorization.cache_clear()
+        skipped = dict(period_scan(5, 75, range(3000352, 3000355)).skipped)
+        if code:
+            reason = "Q(t) = 9002121124963 is not factored: no factor of a 44-bit cofactor within 4093 rho iterations"
+            assert doc["error"] == skipped[3000353] == reason
+        else:
+            assert 3000353 not in skipped
+    quadratic_factorization.cache_clear()
+
+
+def test_unfactorable_modulus_is_not_covered(monkeypatch, capsys):
+    """A period scan factors its modulus for the minimality witnesses: a
+    modulus that Brent-rho cannot split within its budget ends the run
+    not-covered (exit 3), with the cofactor's size, not in a traceback."""
+    monkeypatch.setattr(numutil, "RHO_ITERATION_BUDGET", 1021)
+    argv = ["period-scan", "--n", "4", "--modulus", str(1_000_003 * 1_000_033), "--t-min", "0", "--t-max", "5"]
+    code, doc = run_cli(capsys, argv)
+    assert (code, doc["status"]) == (3, "not-covered")
+    assert doc["error"] == "no factor of a 40-bit cofactor within 1021 rho iterations"

@@ -22,6 +22,7 @@ from simplestfields.numberfield import (
 from simplestfields.numutil import factorize, p_adic_valuation
 from simplestfields.orders import (
     STRATEGIES,
+    Order,
     _dedekind_order,
     _dedekind_test,
     _enumerate_round,
@@ -471,6 +472,11 @@ def test_enumerate_chain_matches_the_trace_filter_chain():
         assert chain == trace_filter_enumerate_chain(f, p), (n, t, p)
 
 
+def _lattice(field, den, rows):
+    """The lattice with numerators rows over den, as an Order of field."""
+    return Order(field, den, tuple(map(tuple, rows)))
+
+
 def test_start_order_checks():
     """A start lattice is used only when it contains Z[beta] and is closed
     under products; an accepted start comes with its multiplication table,
@@ -486,7 +492,7 @@ def test_start_order_checks():
     for field, start in ((f, o), (f, power_order(f)), (f12, o12)):
         n = field.n
         poly = list(field.poly.coeffs)
-        order = _start_order(field, start.fingerprint)
+        order = _start_order(Order(field, *start.fingerprint))
         assert "table" in vars(order)  # formed by the check, kept for the first round
         table = order.table
         assert order == start
@@ -503,10 +509,10 @@ def test_start_order_checks():
     diag = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     low = [row[:] for row in diag]
     low[1] = [1, 4, 0, 0]
-    assert _start_order(f, (2, low)) is None  # misses beta
+    assert _start_order(_lattice(f, 2, low)) is None  # misses beta
     half_beta = [row[:] for row in diag]
     half_beta[1] = [0, 1, 0, 0]
-    assert _start_order(f, (2, half_beta)) is None  # (beta/2)^2 is not in the lattice
+    assert _start_order(_lattice(f, 2, half_beta)) is None  # (beta/2)^2 is not in the lattice
 
 
 def test_integral_start_checks():
@@ -516,19 +522,19 @@ def test_integral_start_checks():
     f = number_field(4, 3)
     o = p_maximal_order(f, 2)
     for start in (o, power_order(f)):
-        assert _integral_start(f, start.fingerprint) == start
+        assert _integral_start(Order(f, *start.fingerprint)) == start
     diag = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
     low = [row[:] for row in diag]
     low[1] = [1, 4, 0, 0]
-    assert _integral_start(f, (2, low)) is None  # misses beta
+    assert _integral_start(_lattice(f, 2, low)) is None  # misses beta
     half_beta = [row[:] for row in diag]
     half_beta[1] = [0, 1, 0, 0]
-    assert _integral_start(f, (2, half_beta)) is None  # beta/2 is not integral
+    assert _integral_start(_lattice(f, 2, half_beta)) is None  # beta/2 is not integral
     open_lattice = [row[:] for row in diag]
     open_lattice[2] = [1, 0, 1, 0]  # (1 + beta^2)/2 is integral, its square is not in the lattice
-    assert _start_order(f, (2, open_lattice)) is None
-    assert _integral_start(f, (2, open_lattice)) is not None
-    assert _saturate(f, 2, "enumerate", (2, open_lattice)) == o
+    assert _start_order(_lattice(f, 2, open_lattice)) is None
+    assert _integral_start(_lattice(f, 2, open_lattice)) is not None
+    assert _saturate(f, 2, "enumerate", _lattice(f, 2, open_lattice).fingerprint) == o
 
 
 def _radical_chain(field, p):
@@ -576,7 +582,7 @@ def _check_rounds_against_oracle(cold):
                     continue
                 long_chains.add((n, p))
                 other = next(u for k in range(1, 99) for u in (t - k * part, t + k * part) if parameter_gate(n, u)[0])
-                accepted = _start_order(field, p_maximal_order(number_field(n, other), p).fingerprint)
+                accepted = _start_order(Order(field, *p_maximal_order(number_field(n, other), p).fingerprint))
                 if accepted is not None:
                     accepted_starts += 1
                     _walk_against_oracle(field, p, accepted, cold)
@@ -624,7 +630,7 @@ def test_p_maximal_order_from_start(n, p):
         assert expected == chain[-1]
         for name, start, used in starts:
             if used is not None:
-                assert (_start_order(field, start) is not None) == used, name
+                assert (_start_order(Order(field, *start)) is not None) == used, name
             assert _saturate(field, p, strategy, start) == expected, (name, strategy)
 
 
@@ -639,7 +645,7 @@ def test_polygon_start_is_an_order(monkeypatch, n):
     cases = [(number_field(n, t), p) for t in GATE_PASSING_T[n] for p in candidate_primes(n)]
     for field, p in cases:
         start = _polygon_start(field, p)
-        assert start is None or _start_order(field, start) is not None, (n, field.t, p)
+        assert start is None or _start_order(start) is not None, (n, field.t, p)
     with_polygon = [p_maximal_order(field, p) for field, p in cases]
     monkeypatch.setattr(orders, "_polygon_start", lambda field, p: None)
     assert [p_maximal_order(field, p) for field, p in cases] == with_polygon
@@ -663,7 +669,7 @@ def test_polygon_start_is_the_p_maximal_order(monkeypatch, n, p, strategy):
     for t in ts:
         field = number_field(n, t)
         expected = p_maximal_order(field, p, strategy)
-        assert _polygon_start(field, p) == expected.fingerprint, t
+        assert _polygon_start(field, p) == expected, t
 
 
 def test_polygon_start_is_absent_without_a_single_double_root():

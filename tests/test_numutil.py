@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 
 from simplestfields import numutil
 from simplestfields.numutil import (
+    RHO_ITERATION_BUDGET,
+    FactoringError,
     factorize,
     is_prime,
     largest_square_root_divisor,
@@ -87,10 +89,9 @@ def _prime_near(x: int, step: int) -> int:
     return x
 
 
-def test_factorize_matches_full_sieve_route():
-    """The sieve sized to the input gives the factorization of the full
-    sieve: prime squares and two-prime products with sqrt(n) on either side
-    of each power-of-two sieve size, primes just past the bound, and inputs
+def _sieve_edge_inputs() -> list[int]:
+    """Prime squares and two-prime products with sqrt(n) on either side of
+    each power-of-two sieve size, primes just past the bound, and inputs
     above 10^12 that only Brent-rho splits."""
     inputs = []
     for k in range(2, 21):
@@ -100,7 +101,29 @@ def test_factorize_matches_full_sieve_route():
     r = _prime_near(999_999, -1)
     inputs += [p * q, p * p, 6 * p * q, r * p, r * r * p, p * q * s, 2**61 - 1]
     assert max(inputs) > 10**18
-    for n in inputs:
+    return inputs
+
+
+def test_factorize_matches_full_sieve_route():
+    """The sieve sized to the input gives the factorization of the full
+    sieve on the inputs of _sieve_edge_inputs."""
+    for n in _sieve_edge_inputs():
+        assert factorize(n) == full_sieve_factorize(n), n
+
+
+def test_rho_budget_is_counted_in_iterations(monkeypatch):
+    """Trial division leaves 1_000_003 * 1_000_033 whole, and Brent-rho
+    splits it after 1022 charged steps: a budget of 1022 factors it, and
+    1021 raises FactoringError naming the 40-bit cofactor.  Every input of
+    _sieve_edge_inputs factors within 1/256 of the budget."""
+    n = 1_000_003 * 1_000_033
+    monkeypatch.setattr(numutil, "RHO_ITERATION_BUDGET", 1022)
+    assert factorize(n) == {1_000_003: 1, 1_000_033: 1}
+    monkeypatch.setattr(numutil, "RHO_ITERATION_BUDGET", 1021)
+    with pytest.raises(FactoringError, match="^no factor of a 40-bit cofactor within 1021 rho iterations$"):
+        factorize(n)
+    monkeypatch.setattr(numutil, "RHO_ITERATION_BUDGET", RHO_ITERATION_BUDGET // 256)
+    for n in _sieve_edge_inputs():
         assert factorize(n) == full_sieve_factorize(n), n
 
 

@@ -485,11 +485,11 @@ def test_scan8_forms_each_table_and_radical_once(monkeypatch):
         return real_table(*args)
 
     products = [0]
-    real_products = orders._basis_products
+    real_products = orders.Order.products.func
 
-    def counted_products(basis):
+    def counted_products(order):
         products[0] += 1
-        return real_products(basis)
+        return real_products(order)
 
     handed = []
     real_certificate = periodicity.class_certificate
@@ -499,7 +499,7 @@ def test_scan8_forms_each_table_and_radical_once(monkeypatch):
         return real_certificate(*args)
 
     monkeypatch.setattr(orders, "_mult_table", counted)
-    monkeypatch.setattr(orders, "_basis_products", counted_products)
+    monkeypatch.setattr(orders.Order.products, "func", counted_products)
     monkeypatch.setattr(periodicity, "class_certificate", logged)
     orders._radical_kernel.cache_clear()
     orders._radical.cache_clear()
@@ -509,10 +509,11 @@ def test_scan8_forms_each_table_and_radical_once(monkeypatch):
     assert orders._radical_kernel.cache_info().misses == 189
     assert orders._radical.cache_info().misses == 67
     assert len(handed) == 43
-    for n, p, part, t0, fp, gate, order in handed:
-        den, basis = order.fingerprint
-        assert fp == order.fingerprint and order.field.t == t0, (p, t0)
-        assert order.table == real_table(specialize(n, t0).poly.coeffs, den, basis, real_products(basis)), (p, t0)
+    for order, p, part, gate in handed:
+        t0 = order.field.t
+        assert order == orders.p_maximal_order(number_field(8, t0), p), (p, t0)
+        afresh = orders.Order(number_field(8, t0), *order.fingerprint)
+        assert order.table == real_table(afresh, specialize(8, t0).poly.coeffs), (p, t0)
 
 
 def _n12_slice_residues():
@@ -591,6 +592,12 @@ def test_period_scan_tries_no_start_for_primes_outside_the_modulus(monkeypatch):
             assert 1 < den == p ** p_adic_valuation(den, p) and len(basis) == 6, (p, start)
 
 
+def _order(n, t0, fp):
+    """The lattice of the fingerprint fp in the field at t0, its table and
+    basis products not yet formed."""
+    return orders.Order(number_field(n, t0), *fp)
+
+
 def _class_members(n, p, part, r, count, gate="strict"):
     """The first count gate-passing t = r + part * s, s = 0, 1, ..., within 60 steps."""
     ts = (t for t in range(r, r + 60 * part, part) if parameter_gate(n, t, gate)[0])
@@ -622,7 +629,7 @@ def test_class_certificate_covers_final_period_table(n, p):
         populated += 1
         t0 = members[0]
         fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
-        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok"), (r, t0)
+        assert orders.class_certificate(_order(n, t0, fp), p, part) == (True, "ok"), (r, t0)
         far = _class_members(n, p, part, t0 + (n + 1) * part, 1) + _class_members(n, p, part, t0 - 9 * part, 1)
         for t in far if n < 12 else far[:1]:
             assert orders.p_maximal_order(number_field(n, t), p).fingerprint == fp, (r, t)
@@ -648,14 +655,14 @@ def test_class_certificate_checks_a_full_period(monkeypatch, n, p, part):
         period *= p
     for r in (1, 2, 5):
         t0 = _class_members(n, p, part, r, 1)[0]
-        den, basis = fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
+        lattice = _order(n, t0, orders.p_maximal_order(number_field(n, t0), p).fingerprint)
         checked.clear()
-        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
+        assert orders.class_certificate(lattice, p, part) == (True, "ok")
         keys = []
         for s in range(2 * period):
             t = t0 + part * s
             if disc_quadratic(n, t) % (p * p):
-                table = orders._mult_table(specialize(n, t).poly.coeffs, den, basis, orders._basis_products(basis))
+                table = orders._mult_table(lattice, specialize(n, t).poly.coeffs)
                 keys.append((s, orders._table_key(p, table)))
         in_order = [key for _, key in keys]
         assert checked == in_order[: len(checked)] and set(checked) == set(in_order)
@@ -678,7 +685,7 @@ def test_class_certificate_forms_the_products_once(monkeypatch):
     t0 = _class_members(n, p, part, 1, 1)[0]
     fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
     products[0] = 0
-    assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
+    assert orders.class_certificate(_order(n, t0, fp), p, part) == (True, "ok")
     assert products[0] == n * (n + 1) // 2
 
 
@@ -704,8 +711,8 @@ def test_class_certificate_matches_the_full_degree_oracle():
                         if len(tried) < 5 and fp not in tried:
                             tried.append(fp)
                     for fp in tried:
-                        got = orders.class_certificate(n, p, part, t0, fp)
-                        assert got == full_degree_class_certificate(n, p, part, t0, fp), (n, p, part, t0, fp)
+                        got = orders.class_certificate(_order(n, t0, fp), p, part)
+                        assert got == full_degree_class_certificate(_order(n, t0, fp), p, part), (n, p, part, t0, fp)
                         checked += 1
                         failed += not got[0]
     assert checked > 1500 and 1000 < failed < checked
@@ -719,10 +726,11 @@ def test_certificate_sample_bound_is_attained():
     n, p, part, t0 = 4, 2, 16, -320
     fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
     assert fp[0] == 4
-    diffs = full_degree_differences(n, t0, part, fp)
+    diffs = full_degree_differences(_order(n, t0, fp), part)
     assert any(x % 4 for x in diffs[1])
     assert not any(x % 4 for d in diffs[2:] for x in d)
-    assert orders.class_certificate(n, p, part, t0, fp) == full_degree_class_certificate(n, p, part, t0, fp) == (True, "ok")
+    got = orders.class_certificate(_order(n, t0, fp), p, part)
+    assert got == full_degree_class_certificate(_order(n, t0, fp), p, part) == (True, "ok")
 
 
 def test_class_certificate_builds_d_plus_two_tables(monkeypatch):
@@ -743,15 +751,15 @@ def test_class_certificate_builds_d_plus_two_tables(monkeypatch):
         fp = orders.p_maximal_order(number_field(n, t0), p).fingerprint
         assert fp[0] == 27
         tables[0] = 0
-        assert orders.class_certificate(n, p, part, t0, fp) == (True, "ok")
+        assert orders.class_certificate(_order(n, t0, fp), p, part) == (True, "ok")
         assert tables[0] == 4
 
 
 def test_class_certificate_takes_the_handed_sample(monkeypatch):
-    """Handed the saturated order at t0, a certificate takes its table
-    (Order.table) as the sample s = 0 and forms only the other d + 1 = 3
-    sample tables, from the order's basis products (Order.products), with
-    the same verdict as when it forms all four and the products itself."""
+    """Handed the saturated order at t0, its table formed, a certificate
+    takes that table (Order.table) as the sample s = 0 and forms only the
+    other d + 1 = 3 sample tables, from the order's basis products
+    (Order.products), with no product formed again."""
     tables = [0]
     real = orders._mult_table
 
@@ -764,9 +772,34 @@ def test_class_certificate_takes_the_handed_sample(monkeypatch):
     o = orders.p_maximal_order(number_field(n, t0), p)
     o.table
     monkeypatch.setattr(orders, "_mult_table", counted)
-    monkeypatch.setattr(orders, "_basis_products", lambda basis: pytest.fail("products formed again"))
-    assert orders.class_certificate(n, p, part, t0, o.fingerprint, "strict", o) == (True, "ok")
+    monkeypatch.setattr(orders, "zx_mul", lambda a, b: pytest.fail("products formed again"))
+    assert orders.class_certificate(o, p, part) == (True, "ok")
     assert tables[0] == 3
+
+
+def test_class_certificate_refusals():
+    """A certificate refuses an unknown gate and a den that is not a power
+    of p (ValueError), and returns a failing verdict for a lattice that
+    misses Z[beta] or is not closed under products at t0 itself, whose
+    table is the sample s = 0.  At n = 4, t = 3 the 2-maximal order has
+    den 2; the other lattices are those of test_start_order_checks."""
+    field = number_field(4, 3)
+    o = orders.p_maximal_order(field, 2)
+    assert o.den == 2
+    with pytest.raises(ValueError, match="^unknown gate 'loose'$"):
+        orders.class_certificate(o, 2, 8, "loose")
+    with pytest.raises(ValueError, match="^the denominator 2 is not a power of 3$"):
+        orders.class_certificate(o, 3, 9)
+    diag = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    low = [row[:] for row in diag]
+    low[1] = [1, 4, 0, 0]
+    missing = orders.Order(field, 2, tuple(map(tuple, low)))
+    assert orders.class_certificate(missing, 2, 8) == (False, "the lattice does not contain Z[beta]")
+    half_beta = [row[:] for row in diag]
+    half_beta[1] = [0, 1, 0, 0]
+    open_lattice = orders.Order(field, 2, tuple(map(tuple, half_beta)))
+    assert orders.class_certificate(open_lattice, 2, 8) == (False, "the lattice is not closed under products at t=3")
+    assert orders.class_certificate(o, 2, 8) == (True, "ok")
 
 
 def test_class_certificate_period_counts_the_log_term(monkeypatch):
@@ -776,7 +809,7 @@ def test_class_certificate_period_counts_the_log_term(monkeypatch):
     fp = orders.p_maximal_order(number_field(10, 2), 2).fingerprint
     looked_up = []
     monkeypatch.setattr(orders, "_radical_kernel", lambda p, n, key: looked_up.append(key) or ())
-    assert orders.class_certificate(10, 2, 1, 2, fp) == (True, "ok")
+    assert orders.class_certificate(_order(10, 2, fp), 2, 1) == (True, "ok")
     assert len(looked_up) == 8
 
 
@@ -789,7 +822,7 @@ def test_class_certificate_fails_below_the_period(monkeypatch):
     for r in range(8):
         t0 = _class_members(8, 2, 8, r, 1)[0]
         fp = orders.p_maximal_order(number_field(8, t0), 2).fingerprint
-        outcomes[r] = orders.class_certificate(8, 2, 8, t0, fp)[0]
+        outcomes[r] = orders.class_certificate(_order(8, t0, fp), 2, 8)[0]
     assert [r for r, ok in outcomes.items() if not ok] == [0, 7]
     calls = []
     real = periodicity.class_certificate
