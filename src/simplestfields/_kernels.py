@@ -4,8 +4,11 @@ Polynomials are dense coefficient lists of Python ints, index i =
 coefficient of X^i, no trailing zeros unless stated otherwise.  Matrices are
 sequences of rows.  A row argument (``rows`` of ``vec_reduce_mod_rows``,
 ``solve_lower_coords`` and ``hnf_rows``) may be a tuple or a list: the
-kernels only index it and never write to it, so an order's fingerprint rows
-(tuples, as ``orders._start_order`` passes them) serve directly.
+kernels only index it and never write to it, so an order's basis rows
+(tuples, as ``orders._contains_power_basis`` passes them) serve directly.
+The library calls zx_mul, zx_mod, zx_mulmod, solve_lower_coords, hnf_rows
+and zx_resultant; zx_divexact and vec_reduce_mod_rows are held only by the
+benchmark tracer (perfbench/tracer.py) and the tests.
 """
 
 

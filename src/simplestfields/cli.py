@@ -385,7 +385,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader is gone: send what is still buffered to devnull, so the
         # interpreter's last flush of stdout fails neither.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_OUTPUT_CLOSED
     return EXIT_CODES[status]
 

@@ -11,7 +11,7 @@ I*sqrt(3), and all power formulas are verified under that pairing.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .poly import Poly
 
@@ -166,17 +166,15 @@ class CycloElt:
         return f"CycloElt({self.ring.n}, {list(self.coeffs)})"
 
 
-def embed_root(ring: CycloRing, d: int, k: int = 1) -> CycloElt:
-    """The root of unity zeta_d^k inside ring (d must divide the conductor).
+def embed_root(ring: CycloRing, d: int) -> CycloElt:
+    """The root of unity zeta_d inside ring (d must divide the conductor).
 
-    Represented as y^(k*N/d) reduced mod Phi_N; has multiplicative order
-    exactly d when gcd(k, d) = 1.
+    Represented as y^(N/d) reduced mod Phi_N; has multiplicative order
+    exactly d.
     """
     if ring.n % d != 0:
         raise ValueError(f"{d} does not divide the conductor {ring.n}")
-    if gcd(k, d) != 1:
-        raise ValueError("k must be coprime to d")
-    e = (k * (ring.n // d)) % ring.n
+    e = (ring.n // d) % ring.n
     return ring.element([0] * e + [1])
 
 

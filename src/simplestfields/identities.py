@@ -32,11 +32,11 @@ class IdentityResult(NamedTuple):
     detail: str = ""
 
 
-def _sample_fractions(rng: random.Random, count: int, den_max: int = 9) -> list[Fraction]:
+def _sample_fractions(rng: random.Random, count: int) -> list[Fraction]:
     out = []
     seen = set()
     while len(out) < count:
-        f = Fraction(rng.randint(-40, 40), rng.randint(1, den_max))
+        f = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
         if f not in seen:
             seen.add(f)
             out.append(f)

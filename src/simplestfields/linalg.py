@@ -21,7 +21,8 @@ def mat_shape(m) -> tuple[int, int]:
 
 
 def bareiss_det(m: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free elimination."""
+    """Exact determinant of a square integer matrix by fraction-free elimination.
+    No library caller: kept for perfbench/tracer.py, which wraps it by name."""
     n, cols = mat_shape(m)
     if n != cols:
         raise ValueError("determinant of non-square matrix")
@@ -80,35 +81,6 @@ def left_kernel_mod_p(m: list[list[int]], p: int) -> list[list[int]]:
     return kernel
 
 
-def adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det, adj) of a nonsingular square integer matrix: adj @ m == det * I.
-
-    One fraction-free Bareiss-Jordan (Montante) elimination of [m | I]
-    (Bareiss, Math. Comp. 22, 1968), every division exact.  It leaves
-    s * det * I on the left and s * adj on the right, s the sign of the row
-    swaps.  Raises ValueError on singular or non-square input.
-    """
-    n, cols = mat_shape(m)
-    if n != cols:
-        raise ValueError("adjugate of non-square matrix")
-    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(m)]
-    sign = prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if aug[i][k]), None)
-            if i is None:
-                raise ValueError("singular matrix")
-            aug[k], aug[i] = aug[i], aug[k]
-            sign = -sign
-        pivot_row, piv = aug[k], aug[k][k]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                aug[i] = [(x * piv - f * y) // prev for x, y in zip(aug[i], pivot_row)]
-        prev = piv
-    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
-
-
 def adjugate_column(m: list[list[int]], k: int) -> tuple[int, list[int]]:
     """(det, column k of adj(m)) of a nonsingular square integer matrix.
 
@@ -146,9 +118,10 @@ def adjugate_column(m: list[list[int]], k: int) -> tuple[int, list[int]]:
 
 
 def rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular rational matrix, from the adjugate of
-    its rows scaled to integers.  Raises ValueError on singular input."""
+    """Exact inverse of a nonsingular rational matrix, from the adjugate
+    columns of its rows scaled to integers.  Raises ValueError on singular input."""
     scale = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
-    det, adj = adjugate([[int(Fraction(x) * s) for x in row] for row, s in zip(m, scale)])
+    scaled = [[int(Fraction(x) * s) for x in row] for row, s in zip(m, scale)]
+    cols = [adjugate_column(scaled, k) for k in range(len(scaled))]
     # m = diag(1/scale) @ scaled, so inverse = adj(scaled) @ diag(scale) / det
-    return [[Fraction(a * s, det) for a, s in zip(row, scale)] for row in adj]
+    return [[Fraction(col[i] * s, det) for (det, col), s in zip(cols, scale)] for i in range(len(scaled))]

@@ -115,7 +115,7 @@ def _char_coeffs(field: NumberField, w):
     division by k must be exact.
     """
     f = list(field.poly.coeffs)
-    traces = field_trace_powers(field, 2 * field.n - 2)
+    traces = field_trace_powers(field)
     w = list(w)
     e = [1]
     s = []
@@ -149,13 +149,12 @@ def is_algebraic_integer(e: FieldElt) -> bool:
 
 
 @lru_cache(maxsize=512)
-def field_trace_powers(field: NumberField, k_max: int) -> tuple[int, ...]:
-    """Traces of beta^k for k = 0..k_max via Newton's identities."""
+def field_trace_powers(field: NumberField) -> tuple[int, ...]:
+    """Traces of beta^k for k = 0..2n-2 via Newton's identities."""
     n = field.n
     c = field.poly.coeffs  # c[i] = coefficient of X^i, c[n] = 1
-    p = [0] * (k_max + 1)
-    p[0] = n
-    for k in range(1, k_max + 1):
+    p = [n] + [0] * (2 * n - 2)
+    for k in range(1, 2 * n - 1):
         if k <= n:
             s = -k * c[n - k]
             for i in range(1, k):

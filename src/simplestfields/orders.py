@@ -396,7 +396,7 @@ def _trace_candidates(order: Order, p: int):
     n = order.n
     den, basis = order.den, order.basis
     rows = [row[: i + 1] for i, row in enumerate(basis)]  # an HNF row i is 0 past column i
-    traces = field_trace_powers(order.field, 2 * n - 2)
+    traces = field_trace_powers(order.field)
     windows = [traces[j : j + n] for j in range(n)]
     pairing = []  # S
     for row in rows:

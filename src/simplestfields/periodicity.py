@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .family import disc_quadratic, discriminant_front
 from .linalg import adjugate_column
 from .numberfield import NumberField, ParameterNotCoveredError, field_trace_powers, number_field
-from .numutil import factorize, p_adic_valuation
+from .numutil import FactoringError, factorize, p_adic_valuation
 from .orders import (
     GATES,
     STRATEGIES,
@@ -77,7 +77,7 @@ class DualBasis(NamedTuple):
 def _trace_matrix(field: NumberField) -> list[list[int]]:
     """T[i][j] = Tr(beta^(i+j)), the trace form on the power basis."""
     n = field.n
-    p = field_trace_powers(field, 2 * n - 2)
+    p = field_trace_powers(field)
     return [[p[i + j] for j in range(n)] for i in range(n)]
 
 
@@ -419,8 +419,12 @@ def minimality_witness(n0: int, scan: PeriodReport) -> dict[int, tuple[int, int]
         return {}
     data = [(t, fp) for members in scan.classes.values() for t, fp in members]
     data.sort()
+    try:
+        primes = factorize(n0)
+    except FactoringError as exc:
+        raise ParameterNotCoveredError(f"modulus {n0} is not factored: {exc}") from None
     out: dict[int, tuple[int, int] | None] = {}
-    for p in factorize(n0):
+    for p in primes:
         sub = n0 // p
         # every member of a class mod sub seen before the witness shares the
         # fingerprint of the class's first member, so only that one is kept

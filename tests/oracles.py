@@ -3,7 +3,8 @@
 These deliberately avoid the package's own computation paths: the resultant
 oracle is a Sylvester determinant, the squarefree oracle is naive trial
 division, traces come from companion-matrix powers, the rational inverse is
-plain Gauss-Jordan over Fractions, the degree-2 maximal order comes from
+plain Gauss-Jordan over Fractions, the integer adjugate is one
+Bareiss-Jordan elimination of [m | I] instead of a column at a time, the degree-2 maximal order comes from
 the classical quadratic-field classification, the radical round works on
 polynomial products over the power basis instead of the order's
 multiplication table, the multiplier-ring step on a table key computes its
@@ -37,7 +38,7 @@ from math import comb, gcd, lcm
 
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
-from simplestfields.linalg import adjugate, left_kernel_mod_p
+from simplestfields.linalg import left_kernel_mod_p, mat_shape
 from simplestfields.cli import SCHEMA, _Shared, build_parser
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
@@ -190,6 +191,37 @@ def gauss_jordan_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
                 f = aug[r][c]
                 aug[r] = [aug[r][j] - f * aug[c][j] for j in range(2 * n)]
     return [row[n:] for row in aug]
+
+
+def adjugate(m: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of a nonsingular square integer matrix: adj @ m == det * I.
+
+    One fraction-free Bareiss-Jordan (Montante) elimination of [m | I]
+    (Bareiss, Math. Comp. 22, 1968), every division exact.  It leaves
+    s * det * I on the left and s * adj on the right, s the sign of the row
+    swaps.  Raises ValueError on singular or non-square input.
+    """
+    n, cols = mat_shape(m)
+    if n != cols:
+        raise ValueError("adjugate of non-square matrix")
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(m)]
+    sign = prev = 1
+    for k in range(n):
+        if aug[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if aug[i][k]), None)
+            if i is None:
+                raise ValueError("singular matrix")
+            aug[k], aug[i] = aug[i], aug[k]
+            sign = -sign
+        pivot_row, piv = aug[k], aug[k][k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(x * piv - f * y) // prev for x, y in zip(aug[i], pivot_row)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+
+
 
 
 def quadratic_maximal_fingerprint(t: int):
@@ -680,7 +712,7 @@ def trace_filter_enumerate_chain(field, p: int) -> list:
     Z[beta], where each round takes the first candidate of
     brute_force_trace_candidates (the filter on Tr(x * beta^j) alone) that
     is an algebraic integer."""
-    traces = field_trace_powers(field, 2 * field.n - 2)
+    traces = field_trace_powers(field)
     order = power_order(field)
     chain = [order.fingerprint]
     while True:

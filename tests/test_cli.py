@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import json_document
-from simplestfields import cli, numutil
+from simplestfields import cli, numutil, periodicity
 from simplestfields.cli import EXIT_OUTPUT_CLOSED, main
 from simplestfields.numberfield import number_field, quadratic_factorization
 from simplestfields.periodicity import period_scan
@@ -109,6 +109,25 @@ def test_exit_code_and_document(capsys, argv, code, status):
     assert doc["timing_ms"] >= 0
     assert ("error" in doc) == (code >= 2)
     assert ("result" in doc) == (code < 2)
+
+
+def test_family_refuses_a_negative_degree(capsys):
+    code, doc = run_cli(capsys, ["family", "--n", "-2"])
+    assert (code, doc["status"], doc["error"]) == (2, "usage-error", "degree must be nonnegative")
+
+
+def test_verify_tables_delta_reports_each_failure(capsys, monkeypatch):
+    """With the exponent of 3 at n = 5 lowered from 3 to 2 the delta scope
+    fails (exit 1): the symbolic front 135 and the sampled lcms 135 * Q(t)
+    at t = 2, 3 disagree with the table's 45 and 45 * Q(t)."""
+    monkeypatch.setitem(periodicity.DUAL_DENOMINATOR_EXPONENT, 5, 2)
+    code, doc = run_cli(capsys, ["verify-tables", "--scope", "delta", "--samples", "2"])
+    assert (code, doc["status"]) == (1, "fail")
+    assert doc["result"]["dual_denominator_table"] == {
+        "ok": False,
+        "checked": "33",
+        "failures": [["5", "symbolic", ["135", "1"], ["45", "1"]], ["5", "2", "945", "315"], ["5", "3", "1755", "585"]],
+    }
 
 
 @pytest.mark.parametrize("scope", ["final", "all"])
@@ -357,4 +376,4 @@ def test_unfactorable_modulus_is_not_covered(monkeypatch, capsys):
     argv = ["period-scan", "--n", "4", "--modulus", str(1_000_003 * 1_000_033), "--t-min", "0", "--t-max", "5"]
     code, doc = run_cli(capsys, argv)
     assert (code, doc["status"]) == (3, "not-covered")
-    assert doc["error"] == "no factor of a 40-bit cofactor within 1021 rho iterations"
+    assert doc["error"] == "modulus 1000036000099 is not factored: no factor of a 40-bit cofactor within 1021 rho iterations"

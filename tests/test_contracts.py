@@ -249,9 +249,9 @@ def test_number_field_keys_the_trace_cache():
     """An equal NumberField built apart from number_field hits the
     field_trace_powers cache and gets the very tuple cached for the field."""
     field = number_field(5, 2)
-    traces = field_trace_powers(field, 8)
+    traces = field_trace_powers(field)
     hits = field_trace_powers.cache_info().hits
     twin = NumberField(*field)
     assert twin is not field and twin == field and hash(twin) == hash(field)
-    assert field_trace_powers(twin, 8) is traces
+    assert field_trace_powers(twin) is traces
     assert field_trace_powers.cache_info().hits == hits + 1

@@ -35,8 +35,6 @@ def test_embed_root_reduction():
     assert embed_root(r12, 4) == r12.element([0, 0, 0, 1])
     with pytest.raises(ValueError):
         embed_root(r6, 4)
-    with pytest.raises(ValueError):
-        embed_root(r6, 6, 2)
 
 
 def test_embed_root_orders():

@@ -25,6 +25,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from simplestfields import cli
 
 TABLE = Path(__file__).resolve().parent / "golden_documents.json"
@@ -141,6 +143,25 @@ def run(argv: list[str], closed: bool = False) -> tuple[int, str]:
         if closed:
             os.close(out.fd)
     return code, digest(json.loads(out.getvalue()))
+
+
+def test_closed_stdout_closes_what_it_opens(monkeypatch):
+    """cli.main points a closed stdout's descriptor at devnull and closes
+    the devnull descriptor it opened for that: every descriptor os.open
+    hands out during an in-process run is closed once the run returns."""
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run(CLOSED_STDOUT, closed=True)[0] == cli.EXIT_OUTPUT_CLOSED
+    assert len(opened) == 2  # the stand-in stdout's and cli.main's
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def rows() -> list[dict]:

@@ -6,11 +6,11 @@ from itertools import product
 import pytest
 
 from simplestfields._kernels import hnf_rows
-from simplestfields.linalg import adjugate, adjugate_column, bareiss_det, left_kernel_mod_p, rat_matrix_inverse
+from simplestfields.linalg import adjugate_column, bareiss_det, left_kernel_mod_p, rat_matrix_inverse
 from simplestfields.numberfield import number_field
 from simplestfields.orders import make_order
 
-from oracles import gauss_jordan_inverse, identity, mat_mul
+from oracles import adjugate, gauss_jordan_inverse, identity, mat_mul
 
 
 def test_hnf_examples():

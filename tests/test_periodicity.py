@@ -6,7 +6,6 @@ import pytest
 
 from simplestfields import numberfield, orders, periodicity
 from simplestfields.family import disc_quadratic, specialize
-from simplestfields.linalg import adjugate
 from simplestfields.numberfield import ParameterNotCoveredError, field_trace_powers, number_field, field_elt
 from simplestfields.numutil import p_adic_valuation
 from simplestfields.orders import denominator_bound, integral_basis, parameter_gate, period_length_bound
@@ -26,6 +25,7 @@ from simplestfields.periodicity import (
 )
 
 from oracles import (
+    adjugate,
     full_degree_class_certificate,
     full_degree_differences,
     gauss_jordan_inverse,
@@ -37,7 +37,7 @@ from oracles import (
 
 def test_trace_powers_surface():
     f = number_field(2, 1)
-    assert field_trace_powers(f, 2) == (2, 2, 8)
+    assert field_trace_powers(f) == (2, 2, 8)
 
 
 def test_dual_basis_quadratic_hand_case():
@@ -81,7 +81,7 @@ def test_dual_basis_matches_fraction_inverse(n):
     assert ts
     for t in ts:
         field = number_field(n, t)
-        p = field_trace_powers(field, 2 * n - 2)
+        p = field_trace_powers(field)
         inv, d = _fraction_inverse_and_lcm([[p[i + j] for j in range(n)] for i in range(n)])
         db = dual_basis(field)
         assert db.matrix == tuple(tuple(row) for row in inv)
@@ -114,7 +114,7 @@ def test_dual_basis_trace_duality():
     for n, t in [(3, 2), (5, 1), (6, 4)]:
         f = number_field(n, t)
         db = dual_basis(f)
-        p = field_trace_powers(f, 2 * n - 2)
+        p = field_trace_powers(f)
         for i in range(n):
             for j in range(n):
                 val = sum(db.matrix[i][k] * p[k + j] for k in range(n))
@@ -139,7 +139,7 @@ def test_integer_coordinates_in_dual_basis():
     for n, t in [(2, 3), (4, 7), (6, 1), (9, 1)]:
         f = number_field(n, t)
         o = integral_basis(f)
-        p = field_trace_powers(f, 2 * n - 2)
+        p = field_trace_powers(f)
         for row in o.basis:
             for j in range(n):
                 tr = sum(Fraction(row[k], o.den) * p[k + j] for k in range(n))
@@ -336,6 +336,8 @@ def test_period_scan_rejects_bad_arguments():
     ]:
         with pytest.raises(ValueError):
             period_scan(*args, **kwargs)
+    with pytest.raises(ValueError, match="^unknown gate 'lenient'$"):
+        period_scan(2, 4, range(5), gate="lenient")
     # every parameter gated out: not covered, with the count and the first reason
     with pytest.raises(ParameterNotCoveredError, match=r"rejects all 1 parameters .*t=-12: not squarefree"):
         period_scan(6, 36, [-12])
