@@ -6,7 +6,8 @@ Moebius-transformation order.  Everything is exact; no floating-point
 embedding is ever used.  The orientation convention (which primitive cube
 root pairs with which square root of -3) is fixed once here: with
 omega = embed_root(ring, 3) the element -(2*omega + 1) plays the role of
-I*sqrt(3), and all power formulas are verified under that pairing.
+I*sqrt(3), and the checks in identities.py verify every power formula
+under that pairing.
 """
 
 from fractions import Fraction
@@ -251,30 +252,3 @@ def moebius_matrix_order(alpha: CycloElt, max_k: int) -> int | None:
         acc = acc * m
     return None
 
-
-def shifted_companion_poly(n: int) -> Poly:
-    """The expansion sum((X - s)^(n-1-i) * X^i, i=0..n-1) over the conductor-lcm(6,n) ring."""
-    ring = companion_ring(n)
-    s = sqrt_minus_three(ring)
-    x = Poly([ring.zero, ring.one])
-    x_minus_s = Poly([-s, ring.one])
-    total = Poly()
-    for i in range(n):
-        total = total + x_minus_s ** (n - 1 - i) * x**i
-    return total
-
-
-def check_companion_shift_identity(n: int, companion: Poly) -> bool:
-    """Verify, coefficient by coefficient, that the shifted-companion expansion
-    equals minus the companion polynomial shifted by the sixth root of unity.
-
-    The identity ties the orientation choices together: with the fixed
-    s = -(2*omega + 1), the sixth root entering the shift must be the one
-    whose negative is omega itself, i.e. eps6 = -omega.
-    """
-    ring = companion_ring(n)
-    eps6 = -embed_root(ring, 3)
-    lhs = shifted_companion_poly(n)
-    shifted = Poly([ring.promote(c) for c in companion.coeffs]).shift(-eps6)
-    rhs = -shifted
-    return lhs.coeffs == rhs.coeffs

@@ -99,6 +99,9 @@ def test_usage_error_exit_code(capsys):
         (["verify-tables", "--scope", "delta", "--samples", "0"], 2, "usage-error"),
         (["verify-tables", "--scope", "final", "--classes-12", "0"], 2, "usage-error"),
         (["identities", "--n-max", "2", "--trials", "-1"], 2, "usage-error"),
+        # the sampler has 469 distinct fractions a/b, |a| <= 40, 1 <= b <= 9, to draw trials from
+        (["identities", "--n-max", "2", "--trials", "469"], 0, "ok"),
+        (["identities", "--n-max", "2", "--trials", "470"], 2, "usage-error"),
     ],
 )
 def test_exit_code_and_document(capsys, argv, code, status):

@@ -4,7 +4,6 @@ import pytest
 
 from simplestfields.cyclo import (
     CycloRing,
-    check_companion_shift_identity,
     companion_ring,
     companion_root,
     cyclotomic_polynomial,
@@ -13,6 +12,7 @@ from simplestfields.cyclo import (
     sqrt_minus_three,
 )
 from simplestfields.family import companion_poly
+from simplestfields.identities import check_companion_shift_identity
 from simplestfields.poly import Poly
 
 
@@ -108,4 +108,4 @@ def test_moebius_matrix_orders():
 
 def test_shift_identity():
     for n in range(2, 13):
-        assert check_companion_shift_identity(n, companion_poly(n))
+        assert check_companion_shift_identity(n, companion_poly(n)) is None

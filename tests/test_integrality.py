@@ -119,6 +119,12 @@ def test_shifted_poly_is_eisenstein():
         shifted = _shifted(n, t, field.poly)
         assert shifted.lc == 1
         assert is_eisenstein(shifted, p)
+    # X^2 + 2X + 2 at 2, then each condition broken alone: not monic, a
+    # coefficient 2 does not divide, a constant term 4 divides
+    assert is_eisenstein(Poly([2, 2, 1]), 2)
+    assert not is_eisenstein(Poly([2, 2, 3]), 2)
+    assert not is_eisenstein(Poly([2, 3, 1]), 2)
+    assert not is_eisenstein(Poly([4, 2, 1]), 2)
 
 
 def test_field_certificate_against_fraction_shift_and_two_factorization_gate():
@@ -300,11 +306,15 @@ def test_denominator_bound_examples():
     assert denominator_bound(2) == 2
     assert denominator_bound(3) == 3
     assert denominator_bound(4) == 144
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        denominator_bound(1)
 
 
 def test_period_length_bound_examples():
     assert period_length_bound(2) == 36
     assert period_length_bound(4) == 3**16 * 2**16
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        period_length_bound(1)
 
 
 def test_outside_primes_never_enlarge():

@@ -36,6 +36,10 @@ def test_pure_kernels_selfconsistent():
         f = _rand_poly(rng, 2, 5) + [1]  # monic
         if a and b:
             assert _kernels.zx_mod(ab, f) == _kernels.zx_mulmod(a, b, f)
+    with pytest.raises(ValueError, match="resultant of zero polynomial"):
+        _kernels.zx_resultant([0], [1, 1])
+    with pytest.raises(ValueError, match="resultant of zero polynomial"):
+        _kernels.zx_resultant([1, 1], [])
 
 
 def test_solve_lower_coords_recovers_coordinates():
@@ -49,6 +53,10 @@ def test_solve_lower_coords_recovers_coordinates():
         assert _kernels.solve_lower_coords(h, w) == coeffs
         # tuple rows, as an order's fingerprint holds them, give the same answer
         assert _kernels.solve_lower_coords(tuple(tuple(r) for r in h), w) == coeffs
+        # a vector longer than the lattice lies in it only when zero past it
+        assert _kernels.solve_lower_coords(h, w + [0]) == coeffs
+        with pytest.raises(ValueError, match="vector not in lattice"):
+            _kernels.solve_lower_coords(h, w + [1])
         # e_k is outside the lattice when the pivot in column k exceeds 1
         for k in range(n):
             if h[k][k] > 1:

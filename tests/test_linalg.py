@@ -85,6 +85,9 @@ def test_bareiss_det():
     assert bareiss_det([[2, 0], [0, 3]]) == 6
     assert bareiss_det([[1, 2], [3, 4]]) == -2
     assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([]) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        bareiss_det([[1, 2]])
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 5)

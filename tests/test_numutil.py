@@ -58,12 +58,16 @@ def test_three_free_part():
     assert three_free_part(21) == 7
     assert three_free_part(13) == 13
     assert three_free_part(-18) == -2
+    with pytest.raises(ValueError, match="of zero undefined"):
+        three_free_part(0)
 
 
 def test_largest_square_root_divisor_examples():
     assert largest_square_root_divisor(1296) == 36
     assert largest_square_root_divisor(3**4 * 2**8) == 144
     assert largest_square_root_divisor(12) == 2
+    with pytest.raises(ValueError, match="must be positive"):
+        largest_square_root_divisor(0)
 
 
 @given(st.integers(min_value=1, max_value=10**7))
@@ -78,6 +82,8 @@ def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(-7) == {7: 1}
     assert factorize(1) == {}
+    with pytest.raises(ValueError, match="of zero undefined"):
+        factorize(0)
     # past the sieve: exercises the rho fallback
     big = 1_000_003 * 1_000_033
     assert factorize(big) == {1_000_003: 1, 1_000_033: 1}

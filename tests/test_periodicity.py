@@ -304,6 +304,8 @@ def test_dual_denominator_front_and_period_bounds():
     for n in (1, 13):
         with pytest.raises(ValueError):
             dual_denominator_front(n)
+    with pytest.raises(ValueError, match="degree must be at least 2"):
+        symbolic_dual_denominator(1)
 
 
 def test_bound_chain():

@@ -72,6 +72,9 @@ def test_resultant_examples():
     assert resultant(a, a) == 0
     with pytest.raises(ValueError):
         resultant(Poly(), Poly([1]))
+    # _int_normalized refuses a coefficient that is neither int nor Fraction
+    with pytest.raises(TypeError, match="integer or rational coefficients required"):
+        resultant(Poly([0.5, 1]), Poly([1, 1]))
 
 
 def test_resultant_matches_sylvester_oracle():
