@@ -29,10 +29,10 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .family import companion_poly, disc_quadratic, family_poly, specialize
+from .family import companion_poly, family_poly, specialize
 from .numberfield import ParameterNotCoveredError, number_field
 from .numutil import FactoringError
-from .orders import integral_basis, order_discriminant, period_length_bound
+from .orders import GATES, STRATEGIES, gate_empties_class, integral_basis, order_discriminant, period_length_bound
 from .periodicity import (
     FINAL_PERIOD_TABLE,
     PERIOD_BOUND_TABLE,
@@ -166,7 +166,7 @@ def _order_payload(o) -> dict:
 
 def cmd_integral_basis(args) -> tuple[str, dict]:
     field = number_field(args.n, args.t)
-    strategies = ["enumerate", "radical"] if args.strategy == "both" else [args.strategy]
+    strategies = STRATEGIES if args.strategy == "both" else [args.strategy]
     orders = {s: integral_basis(field, strategy=s, gate=args.gate) for s in strategies}
     agree = len({o.fingerprint for o in orders.values()}) == 1
     result = {
@@ -236,8 +236,7 @@ def cmd_verify_tables(args) -> tuple[str, dict]:
     if args.scope in ("final", "all"):  # before the scans of the smaller degrees
         if args.classes_12 < 1:
             raise ValueError("--classes-12 must be at least 1")
-        # 9 divides 1944, so Q(t) = Q(r) mod 9 for t = r mod 1944: 9 | Q(r) leaves class r empty
-        if all(disc_quadratic(12, r) % 9 == 0 for r in range(args.classes_12)):
+        if all(gate_empties_class(12, r, FINAL_PERIOD_TABLE[12]) for r in range(args.classes_12)):
             raise ValueError(
                 f"--classes-12 {args.classes_12} scans only residues r mod {FINAL_PERIOD_TABLE[12]} "
                 "with 9 | Q(r), whose classes the strict gate leaves empty"
@@ -326,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integral-basis", help="integral basis of one field")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--strategy", choices=["enumerate", "radical", "both"], default="radical")
-    p.add_argument("--gate", choices=["strict", "relaxed"], default="strict")
+    p.add_argument("--strategy", choices=[*STRATEGIES, "both"], default="radical")
+    p.add_argument("--gate", choices=GATES, default="strict")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_integral_basis)
 
@@ -342,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--t-min", type=int, required=True, dest="t_min")
     p.add_argument("--t-max", type=int, required=True, dest="t_max")
-    p.add_argument("--strategy", choices=["enumerate", "radical"], default="radical")
-    p.add_argument("--gate", choices=["strict", "relaxed"], default="strict")
+    p.add_argument("--strategy", choices=STRATEGIES, default="radical")
+    p.add_argument("--gate", choices=GATES, default="strict")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--residues", type=int, nargs="*", default=None)
     p.add_argument("--out", default=None)

@@ -1,8 +1,9 @@
 """Exact arithmetic in cyclotomic quotient rings Q[y] / Phi_N(y).
 
 This is the home of the sixth and n-th roots of unity, the square root of
-minus three, and the canonical companion-polynomial root used to certify the
-Moebius-transformation order.  Everything is exact; no floating-point
+minus three, the canonical companion-polynomial root, and the order of the
+Moebius transformation at that root, read off the Cayley-Hamilton
+recurrence of its 2x2 matrix.  Everything is exact; no floating-point
 embedding is ever used.  The orientation convention (which primitive cube
 root pairs with which square root of -3) is fixed once here: with
 omega = embed_root(ring, 3) the element -(2*omega + 1) plays the role of
@@ -210,45 +211,24 @@ def companion_root(n: int) -> CycloElt:
     return eps6 * (eps6 + epsn) / (1 - epsn)
 
 
-class Mat2:
-    """2x2 matrix over a cyclotomic ring; just enough for projective order checks."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: CycloElt, b: CycloElt, c: CycloElt, d: CycloElt):
-        ring = a.ring
-        if any(x.ring is not ring for x in (b, c, d)):
-            raise ValueError("matrix entries must share one ring")
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def is_scalar(self) -> bool:
-        return self.b.is_zero and self.c.is_zero and self.a == self.d and not self.a.is_zero
-
-
-def moebius_matrix(alpha: CycloElt) -> Mat2:
-    """The matrix [[alpha, -1], [1, alpha+1]] of the root-permuting Moebius map."""
-    ring = alpha.ring
-    one = ring.one
-    return Mat2(alpha, -one, one, alpha + 1)
-
-
 def moebius_matrix_order(alpha: CycloElt, max_k: int) -> int | None:
-    """Smallest k >= 1 with the Moebius matrix projectively trivial, or None past max_k."""
+    """Smallest k >= 1 with M^k scalar for the root-permuting Moebius matrix
+    M = [[alpha, -1], [1, alpha+1]], or None past max_k.
+
+    By Cayley-Hamilton M^2 = tr * M - det * I, tr = 2*alpha + 1 and det =
+    alpha^2 + alpha + 1, so M^k = a_k * M - det * a_(k-1) * I with a_0 = 0,
+    a_1 = 1 and a_(k+1) = tr * a_k - det * a_(k-1).  M is never scalar (its
+    corner is -1), so M^k is scalar iff a_k = 0.  When det = 0, tr != 0
+    (tr^2 - 4 * det = -3) and a_k = tr^(k-1) never vanishes; otherwise
+    a_k = a_(k-1) = 0 would run the recurrence back to a_1 = 0, so the
+    scalar -det * a_(k-1) is nonzero.
+    """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    m = moebius_matrix(alpha)
-    acc = m
+    tr, det = 2 * alpha + 1, alpha * alpha + alpha + 1
+    prev, cur = alpha.ring.zero, alpha.ring.one  # a_0, a_1
     for k in range(1, max_k + 1):
-        if acc.is_scalar():
+        if cur.is_zero:
             return k
-        acc = acc * m
+        prev, cur = cur, tr * cur - det * prev
     return None
-

@@ -57,12 +57,8 @@ def check_recursions(n_max: int) -> str | None:
 
 
 def _substitute_neg(p: Poly) -> Poly:
-    """Compose p with X -> -X - 1."""
-    acc = Poly()
-    lin = Poly([-1, -1])
-    for coeff in reversed(p.coeffs):
-        acc = acc * lin + Poly.const(coeff)
-    return acc
+    """Compose p with X -> -X - 1: p(-X), shifted by 1."""
+    return Poly([-c if i % 2 else c for i, c in enumerate(p.coeffs)]).shift(1)
 
 
 def check_transform_identity(n: int, m_samples, alpha_samples) -> str | None:
@@ -118,15 +114,12 @@ def check_quadratic_remainder_scaling(n: int) -> str | None:
 
 
 def shifted_companion_poly(n: int) -> Poly:
-    """The expansion sum((X - s)^(n-1-i) * X^i, i=0..n-1) over the conductor-lcm(6,n) ring."""
+    """The expansion sum((X - s)^(n-1-i) * X^i, i=0..n-1) over the conductor-lcm(6,n) ring,
+    summed by telescoping: (X^n - (X - s)^n) * s^-1, s = sqrt(-3) a unit."""
     ring = companion_ring(n)
     s = sqrt_minus_three(ring)
-    x = Poly([ring.zero, ring.one])
-    x_minus_s = Poly([-s, ring.one])
-    total = Poly()
-    for i in range(n):
-        total = total + x_minus_s ** (n - 1 - i) * x**i
-    return total
+    x_n = Poly([ring.zero] * n + [ring.one])
+    return (x_n - Poly([-s, ring.one]) ** n) * s.inverse()
 
 
 def check_companion_shift_identity(n: int, companion: Poly) -> str | None:

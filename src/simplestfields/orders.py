@@ -632,9 +632,9 @@ def class_certificate(order: Order, p: int, part: int, gate: str = "strict") -> 
         p^e, so T(s) mod p^2 has period P = p^(2 + floor(log_p K)), K <= d
         the largest k with D^k != 0 mod p^2 (K = 1 if none).  One period of
         s is checked, skipping only the s where the gate in force rejects
-        p^2 | Q(t) (strict: every such s; relaxed: only for p != 3).  Q(t)
-        mod p^2 has period p^2, which divides P, so every gate-passing t of
-        the class lands on a checked s.
+        p^2 | Q(t) (_counts_square: strict every such s, relaxed only for
+        p != 3).  Q(t) mod p^2 has period p^2, which divides P, so every
+        gate-passing t of the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
     the one saturation finds.  The sample s = 0 is order.table, which a
     period scan hands over formed by the stopping round; the other d + 1
@@ -674,7 +674,7 @@ def class_certificate(order: Order, p: int, part: int, gate: str = "strict") -> 
         period *= p
     for s in range(period):
         t = t0 + part * s
-        if (gate == "strict" or p != 3) and disc_quadratic(n, t) % pp == 0:
+        if _counts_square(p, gate) and disc_quadratic(n, t) % pp == 0:
             continue
         cells = diffs[0]
         for k in range(1, top + 1):
@@ -741,6 +741,24 @@ def candidate_primes(n: int) -> tuple[int, ...]:
     return tuple(sorted({3} | set(factorize(n))))
 
 
+def _counts_square(p: int, gate: str) -> bool:
+    """Whether the gate rejects a Q(t) that p^2 divides: the strict gate for
+    every prime p, the relaxed gate for every p but 3."""
+    return gate == "strict" or p != 3
+
+
+def gate_empties_class(n: int, r: int, part: int) -> bool:
+    """Whether the strict gate rejects every t = r mod part: some prime p
+    dividing part has p^2 | Q(r + part * s) for s = 0, ..., p^2 - 1.  Q(t)
+    mod p^2 has period p^2 in t, so those s stand for every s; and when no
+    such p exists, the Chinese remainder theorem gives a t of the class with
+    p^2 not dividing Q(t) for every p dividing part at once.  Raises
+    ValueError for part = 0."""
+    return any(
+        all(disc_quadratic(n, r + part * s) % (p * p) == 0 for s in range(p * p)) for p in factorize(part)
+    )
+
+
 def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
     """Check the squarefree hypothesis on the parameter quadratic (on its
     3-free part under the relaxed gate) plus the existence of an Eisenstein
@@ -755,7 +773,7 @@ def parameter_gate(n: int, t: int, gate: str = "strict") -> tuple[bool, str]:
         fac = quadratic_factorization(n, t)
     except ParameterNotCoveredError as exc:
         return False, str(exc)
-    square = next((p for p, e in fac if e > 1 and (gate == "strict" or p != 3)), None)
+    square = next((p for p, e in fac if e > 1 and _counts_square(p, gate)), None)
     if square is not None:
         tested = q if gate == "strict" else three_free_part(q)
         return False, f"not squarefree: {square}^2 divides {tested}"

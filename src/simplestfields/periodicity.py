@@ -1,7 +1,7 @@
 """Dual bases, denominator laws, canonical basis fingerprints and period scans.
 
-The table checks and the period bounds read the dual denominator's one
-exact family front, dual_denominator_front(n).
+The table checks, the law_ok verdict of dual_basis and the period bounds
+read the dual denominator's one exact family front, dual_denominator_front(n).
 The period machinery compares integral bases across parameters through their
 canonical (denominator, HNF matrix) fingerprint: two parameters in the same
 residue class modulo the period length must produce identical fingerprints.
@@ -115,18 +115,17 @@ def dual_basis(field: NumberField) -> DualBasis:
     """Invert the trace matrix T[i][j] = Tr(beta^(i+j)) exactly as adj(T) / det(T)
     (see _trace_adjugate), with denominator |det| / gcd(det, all adjugate entries).
 
-    The reported law_ok states that the table denominator 3^e * n * Q(t)
-    clears every entry (the per-parameter lcm d always divides it; at n = 3
-    the division is proper for every integer t because the family-level
-    numerators are of Fermat type t^3 - t, divisible by 3 at integers
-    without being divisible in Z[t]).
+    The reported law_ok states that the table denominator
+    dual_denominator_front(n) * Q(t) clears every entry (the per-parameter
+    lcm d always divides it, since the family-level denominator is
+    front * Q(t): see symbolic_dual_denominator).
     """
     n = field.n
     det, adj = _trace_adjugate(field)
     d = abs(det) // gcd(det, *(x for row in adj for x in row))
     law = None
     if n in DUAL_DENOMINATOR_EXPONENT:
-        law = (3 ** DUAL_DENOMINATOR_EXPONENT[n] * n * disc_quadratic(n, field.t)) % d == 0
+        law = (dual_denominator_front(n) * disc_quadratic(n, field.t)) % d == 0
     return DualBasis(field, tuple(tuple(Fraction(a, det) for a in row) for row in adj), d, law)
 
 
@@ -178,13 +177,16 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
     The determinant of the integer trace matrix is the polynomial
     discriminant, which must equal the field's discriminant at every point;
     number_field reads that off the closed form front * Q(t)^(n-1), proved
-    once per degree, so front is family.discriminant_front(n).  The trace
-    matrix is symmetric, so its adjugate (_trace_adjugate) is too, and only
-    the entries on and above the diagonal are interpolated, at t = 0, ...,
-    2n-2; they have degree at most 2n-2, which three extra verification
-    points confirm.  Q is monic, so by Gauss's lemma an entry has the
-    content of its quotient by any power of Q, and power is n-1-k for the
-    largest k <= n-1 with Q^k dividing every nonzero entry.
+    once per degree, so front is family.discriminant_front(n).  Only row
+    n-1 of the adjugate (_trace_adjugate, whose row certificates still run)
+    is interpolated, at t = 0, ..., 2n-2; its entries have degree at most
+    2n-2, which three extra verification points confirm.  That row decides
+    the whole adjugate: the Horner recurrence of _trace_adjugate makes every
+    row a Z[t]-combination of its entries, and it is itself a row.  So the
+    gcd of the entries' contents, and the largest k <= n-1 with Q^k dividing
+    every nonzero entry, are read off its n entries.  Q is monic, so by
+    Gauss's lemma an entry has the content of its quotient by any power of
+    Q, and power is n-1-k.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -196,16 +198,14 @@ def symbolic_dual_denominator(n: int) -> tuple[int, int]:
         det0, adj0 = _trace_adjugate(field)
         if det0 != field.disc:
             raise AssertionError(f"the trace-matrix determinant is not the discriminant at t={t0}")
-        points.append([adj0[i][j] for i in range(n) for j in range(i, n)])
+        points.append(adj0[n - 1])
     fit = points[: deg_bound + 1]
-    entries = [Poly(_interpolate_int([adj0[k] for adj0 in fit])) for k in range(len(points[0]))]
+    entries = [Poly(_interpolate_int([row[j] for row in fit])) for j in range(n)]
     for extra in range(deg_bound + 1, deg_bound + 4):
         if [entry(extra) for entry in entries] != points[extra]:
             raise AssertionError("adjugate degree bound violated")
     entries = [entry for entry in entries if not entry.is_zero]
-    d_int = 1
-    for entry in entries:
-        d_int = lcm(d_int, front // gcd(front, *entry.coeffs))
+    d_int = front // gcd(front, *(c for entry in entries for c in entry.coeffs))
     q_poly = disc_quadratic(n, Poly.x())
     q_pow = [Poly.const(1)]
     for _ in range(n - 1):
@@ -225,8 +225,8 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
 
     Per degree, the symbolic denominator must be (front, 1) with front =
     dual_denominator_front(n); per sampled parameter, the numeric lcm must
-    be front * Q(t) and pass law_ok.  The samples are the first t = 1, 2,
-    ... that the strict gate passes.  Raises ValueError for
+    be front * Q(t), so law_ok holds there too.  The samples are the first
+    t = 1, 2, ... that the strict gate passes.  Raises ValueError for
     t_samples_per_n < 1, which would check the symbolic layer only.
     """
     if t_samples_per_n < 1:
@@ -250,7 +250,7 @@ def check_dual_denominator_table(n_values, t_samples_per_n: int) -> TableCheck:
             db = dual_basis(number_field(n, t))
             expected = front * disc_quadratic(n, t)
             entries.append((n, t, db.denominator, expected))
-            if db.denominator != expected or not db.law_ok:
+            if db.denominator != expected:
                 failures.append((n, t, db.denominator, expected))
     return TableCheck(not failures, tuple(entries), tuple(failures))
 

@@ -24,9 +24,12 @@ form proved once per degree, and the parameter quadratic, the
 specialization, the specialized discriminant, the integer shift and the
 denominator bound each branch on 3 | n themselves instead of reading the
 scale s of m = t/s, the radical of a polynomial over F_p is the product
-of the monic irreducibles that divide it, found by trial division, and the
+of the monic irreducibles that divide it, found by trial division, the
 CLI document text is the json module's json.dumps(indent=2) of a copy of
-the payload in JSON types, computed again from the parsed command line.
+the payload in JSON types, computed again from the parsed command line, the
+Moebius matrix order multiplies out the powers of the 2x2 matrix instead of
+reading the Cayley-Hamilton recurrence, and the shifted companion sums its n
+products of powers instead of telescoping.
 """
 
 import json
@@ -40,6 +43,7 @@ from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import left_kernel_mod_p, mat_shape
 from simplestfields.cli import SCHEMA, _Shared, build_parser
+from simplestfields.cyclo import companion_ring, sqrt_minus_three
 from simplestfields.numberfield import (
     ParameterNotCoveredError,
     field_elt,
@@ -804,3 +808,29 @@ def json_document(argv: list[str], timing_ms: float) -> str:
         "timing_ms": timing_ms,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def matrix_power_moebius_order(alpha, max_k: int) -> int | None:
+    """moebius_matrix_order by the powers of M = [[alpha, -1], [1, alpha+1]]:
+    the smallest k <= max_k with M^k a nonzero scalar matrix, else None."""
+    one = alpha.ring.one
+    m = (alpha, -one, one, alpha + 1)
+    a, b, c, d = m
+    for k in range(1, max_k + 1):
+        if b.is_zero and c.is_zero and a == d and not a.is_zero:
+            return k
+        a, b, c, d = a * m[0] + b * m[2], a * m[1] + b * m[3], c * m[0] + d * m[2], c * m[1] + d * m[3]
+    return None
+
+
+def summed_shifted_companion_poly(n: int) -> Poly:
+    """shifted_companion_poly as the sum of (X - s)^(n-1-i) * X^i over
+    i = 0..n-1, each product formed on its own."""
+    ring = companion_ring(n)
+    s = sqrt_minus_three(ring)
+    x = Poly([ring.zero, ring.one])
+    x_minus_s = Poly([-s, ring.one])
+    total = Poly()
+    for i in range(n):
+        total = total + x_minus_s ** (n - 1 - i) * x**i
+    return total

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from simplestfields.cyclo import (
 from simplestfields.family import companion_poly
 from simplestfields.identities import check_companion_shift_identity
 from simplestfields.poly import Poly
+
+from oracles import matrix_power_moebius_order
 
 
 def test_cyclotomic_polynomials():
@@ -97,13 +100,38 @@ def test_eigenvalue_quotient_identity():
 
 
 def test_moebius_matrix_orders():
-    for n in range(2, 13):
+    for n in range(2, 19):
         assert moebius_matrix_order(companion_root(n), 2 * n) == n
     # alpha = 0 gives the classical degree-3 transformation
     r6 = CycloRing(6)
     assert moebius_matrix_order(r6.zero, 10) == 3
     # too-small bound reports None
     assert moebius_matrix_order(companion_root(7), 3) is None
+    with pytest.raises(ValueError):
+        moebius_matrix_order(companion_root(3), 0)
+
+
+def _moebius_alphas():
+    """alpha over conductors 6, 12, 30, 42 and 60: 0, 1, -1, -1/2 (trace 0),
+    every other root of unity of the ring (omega has det 0) and 3 seeded
+    random elements."""
+    rng = random.Random(0)
+    for conductor in (6, 12, 30, 42, 60):
+        ring = CycloRing(conductor)
+        yield from (ring.promote(c) for c in (0, 1, -1, Fraction(-1, 2)))
+        yield from (embed_root(ring, d) for d in range(3, conductor + 1) if conductor % d == 0)
+        for _ in range(3):
+            yield ring.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ring.degree)])
+
+
+def test_moebius_matrix_order_matches_matrix_powers():
+    """The Cayley-Hamilton recurrence gives the order the matrix powers give,
+    at max_k = 1, 3, 12 and 40 (the powers are formed once, to 40)."""
+    for alpha in _moebius_alphas():
+        order = matrix_power_moebius_order(alpha, 40)
+        for max_k in (1, 3, 12, 40):
+            want = order if order is not None and order <= max_k else None
+            assert moebius_matrix_order(alpha, max_k) == want, (alpha, max_k)
 
 
 def test_shift_identity():

@@ -1,6 +1,7 @@
 """Every identity check can fail: fed a false identity it returns a message
 naming the degree where the identity breaks, and the identities command
-reports that message with status fail and exit code 1."""
+reports that message with status fail and exit code 1.  The telescoped
+shifted companion matches the sum of its n products."""
 
 import json
 
@@ -13,8 +14,11 @@ from simplestfields.identities import (
     check_quadratic_remainder_scaling,
     check_recursions,
     check_transform_identity,
+    shifted_companion_poly,
 )
 from simplestfields.poly import Poly
+
+from oracles import summed_shifted_companion_poly
 
 
 def _bumped(real, at: int, by):
@@ -78,3 +82,8 @@ def test_identities_command_reports_each_failing_check(monkeypatch, capsys):
         ("companion-quadratic-resultant n=2", ""),
     ] + [("companion-family-resultant n=2", f"m={m}") for m in ("-5/3", "3/2", "5/7", "4", "28/9")]
 
+
+def test_shifted_companion_telescopes():
+    """The telescoped (X^n - (X - s)^n) / s is the sum of its n products."""
+    for n in range(1, 19):
+        assert shifted_companion_poly(n).coeffs == summed_shifted_companion_poly(n).coeffs, n

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +37,7 @@ from simplestfields.orders import (
     _trace_candidates,
     candidate_primes,
     denominator_bound,
+    gate_empties_class,
     integral_basis,
     join_orders,
     make_order,
@@ -142,6 +143,27 @@ def test_field_certificate_against_fraction_shift_and_two_factorization_gate():
             assert want is None or is_eisenstein(shifted, want)
             for gate in ("strict", "relaxed"):
                 assert parameter_gate(n, t, gate) == two_factorization_parameter_gate(n, t, gate), (n, t, gate)
+
+
+def test_gate_empties_class_matches_brute_force():
+    """gate_empties_class(n, r, part) holds iff no s mod the product of the
+    p^2, p | part, keeps every such p^2 off Q(r + part * s); Q depends on n
+    only through whether 3 divides n, so n = 4 and n = 12 cover both.  Some
+    classes are emptied and some are not."""
+    emptied = kept = 0
+    for n in (4, 12):
+        for part in (4, 9, 27, 432, 1944):
+            primes = factorize(part)
+            period = prod(p * p for p in primes)
+            for r in range(part):
+                brute = not any(all(disc_quadratic(n, r + part * s) % (p * p) for p in primes) for s in range(period))
+                assert gate_empties_class(n, r, part) == brute, (n, r, part)
+                emptied += brute
+                kept += not brute
+    assert emptied and kept
+    assert gate_empties_class(12, 0, 1944) and not gate_empties_class(12, 1, 1944)
+    with pytest.raises(ValueError):
+        gate_empties_class(12, 0, 0)
 
 
 def test_number_field_discriminant_matches_per_field_resultant():

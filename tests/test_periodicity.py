@@ -50,6 +50,17 @@ def test_dual_basis_quadratic_hand_case():
     assert db.law_ok is True
 
 
+def test_law_ok_reads_the_front(monkeypatch):
+    """law_ok tests dual_denominator_front(n) * Q(t), which clears the dual
+    matrix at every |t| <= 30, gate-rejected t included; at n = 3 that is
+    Q(t) itself, not the table's 3 * Q(t)."""
+    for n in range(2, 13):
+        for t in range(-30, 31):
+            assert dual_basis(number_field(n, t)).law_ok is True, (n, t)
+    monkeypatch.setattr(periodicity, "dual_denominator_front", lambda n: 1)
+    assert dual_basis(number_field(2, 1)).law_ok is False  # denominator 6 does not divide Q(1) = 3
+
+
 def _quartic_dual_rows(t: int):
     den = 12 * (t * t + t + 1)
     rows = [
