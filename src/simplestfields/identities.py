@@ -61,6 +61,14 @@ def _substitute_neg(p: Poly) -> Poly:
     return Poly([-c if i % 2 else c for i, c in enumerate(p.coeffs)]).shift(1)
 
 
+def _powers(base: Poly, k: int) -> list[Poly]:
+    """base^0, ..., base^k, each from the one before."""
+    out = [Poly.const(1)]
+    for _ in range(k):
+        out.append(out[-1] * base)
+    return out
+
+
 def check_transform_identity(n: int, m_samples, alpha_samples) -> str | None:
     """Exact verification of the Moebius variable-transformation identity.
 
@@ -72,20 +80,20 @@ def check_transform_identity(n: int, m_samples, alpha_samples) -> str | None:
     if n < 1:
         raise ValueError("degree must be at least 1")
     r = companion_poly(n)
+    alphas = [Fraction(a) for a in alpha_samples]
+    # per alpha, (alpha X - 1)^i and (X + alpha + 1)^i for i = 0..n, shared by every m
+    powers = [(_powers(Poly([-1, a]), n), _powers(Poly([a + 1, 1]), n)) for a in alphas]
     for m in m_samples:
         mval = Fraction(m)
         f = family_poly_at(n, mval)
         msq = mval * mval + mval + 1
-        for a in alpha_samples:
-            aval = Fraction(a)
+        for aval, (lin1, lin2) in zip(alphas, powers):
             # lhs expanded through the coefficients f_i of f, no denominators involved:
             # sum_i f_i (alpha X - 1)^i (X + alpha + 1)^(n-i)
-            lin1 = Poly([-1, aval])
-            lin2 = Poly([aval + 1, 1])
             lhs = Poly()
             for i, c in enumerate(f.coeffs):
                 if c:
-                    lhs = lhs + c * lin1**i * lin2 ** (n - i)
+                    lhs = lhs + c * lin1[i] * lin2[n - i]
             rhs = f(aval) * f - msq * r(aval) * r
             if lhs != rhs:
                 return f"transform identity fails at n={n}, m={mval}, alpha={aval}"

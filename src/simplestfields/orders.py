@@ -10,19 +10,20 @@ each other's oracle:
     (the v for which every Tr((v . e) / p * e_k) is integral), skip those
     whose e_2 Newton's step already shows to be non-integral, and test the
     rest for integrality via the characteristic polynomial, enlarging until
-    a full sweep finds nothing;
+    a full sweep finds nothing or the discriminant settles the lattice;
   * "radical": Pohst-Zassenhaus rounds on the order's multiplication table
     T[i][j], the coordinates of basis_i * basis_j over the basis (Cohen,
     GTM 138, Algorithm 6.1.8).  The Frobenius x -> x^p has the matrix M_p
     over F_p (rows basis_i^p mod p, read off T), the p-radical I is the
     kernel of its q-th power (q = p^k >= n), and the multiplier ring of I
     is searched inside I only, from the products of the radical generators
-    mod p^2; iterate until stable.  That step reads nothing of the order but
-    p, n and the table mod p^2, so it is memoized on them (_radical_kernel):
-    the p-maximal orders of a period scan recur with the parameter, and so
-    do their tables.  M_p and I read only the table mod p, so they have a
-    memo of their own on it (_radical), which a _radical_kernel miss asks:
-    tables that differ mod p^2 often agree mod p.
+    mod p^2; iterate until stable or settled by the discriminant.  That
+    step reads nothing of the order but p, n and the table mod p^2, so it
+    is memoized on them (_radical_kernel): the p-maximal orders of a period
+    scan recur with the parameter, and so do their tables.  M_p and I read
+    only the table mod p, so they have a memo of their own on it
+    (_radical), which a _radical_kernel miss asks: tables that differ mod
+    p^2 often agree mod p.
 
 The multiplication table has one layout, owned by this module: _mult_table
 returns the flat vector of the cells T[i][j] with i <= j, row by row (T is
@@ -41,8 +42,11 @@ degree at most d = ceil((2a + 2) / v_p(part)) - 1 when that is smaller, so
 d + 2 sample tables and one period of the table mod p^2 decide closure and
 p-maximality for every s.  A period scan certifies each large enough class
 with it (see periodicity), handing it the order at t0 that saturation
-returned: its table, formed by the stopping round, is the first sample, and
-its basis products, formed for that table, serve the other d + 1.
+returned: its table is the first sample, and its basis products, formed for
+that table, serve the other d + 1.  That table was formed by the round that
+found nothing, when one ran on the order; by the start check, when the
+discriminant settled an accepted start; and otherwise (Z[beta], or a round's
+output that the discriminant settled) by the certificate itself.
 
 The saturation loop (_saturate) may start from an order other than
 Z[beta]: the p-maximal order of another parameter, which a period scan
@@ -67,12 +71,13 @@ start hands its table to the first radical round, which then needs no
 polynomial product.  The enumerate strategy asks instead that each basis
 row over den be an algebraic integer (_integral_start), which puts the
 lattice in the p-maximal order as well; it never forms a multiplication
-table.  Either way the unchanged round loop runs until a round finds
-nothing to add, so every p-maximal order other than an enumerate Z[beta]
-passes the same stopping test (Cohen, GTM 138, 6.1: an order is p-maximal
-iff the multiplier ring of its p-radical is the order itself), exactness
-never rests on the polygon theory, and the canonical HNF makes the result
-independent of the start.
+table.  Either way the round loop runs until the lattice's discriminant
+shows it p-maximal (_discriminant_settles: v_p(disc L) < 2, the test that
+returns Z[beta] before any start is tried) or a round finds nothing to add
+(Cohen, GTM 138, 6.1: an order is p-maximal iff the multiplier ring of its
+p-radical is the order itself).  Neither stop reads the start or the
+polygon theory, so exactness never rests on them, and the canonical HNF
+makes the result independent of the start.
 
 The enumerate strategy first asks Dedekind's criterion (Cohen, GTM 138,
 Theorem 6.1.4; _dedekind_test), read off the factors of f mod p.  Where it
@@ -80,8 +85,8 @@ finds Z[beta] p-maximal, saturation returns Z[beta] without a sweep.
 Otherwise Dedekind's order Z[beta] + (U(beta) / p) Z[beta]
 (_dedekind_order) is the multiplier ring of the p-radical of Z[beta], whose
 generators over p must be algebraic integers.  The radical strategy reads
-neither, so in --strategy both its own stopping test checks every verdict
-of Dedekind's test.
+neither, and neither do its stops, so in --strategy both they check every
+verdict of Dedekind's test.
 
 The candidate prime set for the full integral basis is {3} union the primes
 dividing n: under the squarefree gate every other prime divides the
@@ -209,6 +214,18 @@ def order_discriminant(o: Order) -> int:
     if r:
         raise AssertionError("index square does not divide the polynomial discriminant")
     return q
+
+
+def _discriminant_settles(lattice: Order, p: int) -> bool:
+    """Whether the discriminant alone shows the lattice to be the p-maximal
+    order: v_p(disc L) < 2, with disc L = disc(f) / index^2.
+
+    The lattice is spanned by algebraic integers and has p-power index over
+    Z[beta], so it lies in the p-maximal order O_p; disc L =
+    [O_p : L]^2 disc O_p (Cohen, GTM 138, 4.4) then gives v_p(disc L) >=
+    2 v_p([O_p : L]), and a value below 2 forces L = O_p.  This holds for
+    an enumerate lattice as well, which need not be a ring."""
+    return p_adic_valuation(order_discriminant(lattice), p) < 2
 
 
 def _mult_table(lattice: Order, f) -> list[int]:
@@ -431,8 +448,8 @@ def _enumerate_round(order: Order, p: int) -> Order | None:
     """One sweep over the candidates of _trace_candidates; returns the
     lattice enlarged by the first integral candidate, or None when there is
     none.  The enlarged lattice contains Z[beta] but need not be closed
-    under products: only the lattice where a sweep finds nothing is known to
-    be a ring (the p-maximal order).
+    under products: only the lattice where saturation stops is known to be
+    a ring (the p-maximal order).
 
     The candidates are the projective points of the kernel of the filter on
     Tr(x * beta^j) alone, in the same order, less some non-integral ones;
@@ -636,10 +653,13 @@ def class_certificate(order: Order, p: int, part: int, gate: str = "strict") -> 
         p != 3).  Q(t) mod p^2 has period p^2, which divides P, so every
         gate-passing t of the class lands on a checked s.
     A p-maximal order of p-power index over Z[beta] is the p-maximal order,
-    the one saturation finds.  The sample s = 0 is order.table, which a
-    period scan hands over formed by the stopping round; the other d + 1
-    come from specialize (no field is built or cached), share the order's
-    basis products (Order.products), and are not kept.
+    the one saturation finds.  The sample s = 0 is order.table: a period
+    scan hands the order over with it formed by the round that found
+    nothing, or by the start check where the discriminant settled an
+    accepted start, and where neither ran (the discriminant settled Z[beta]
+    or a round's output) it is formed here.  The other d + 1 come from
+    specialize (no field is built or cached), share the order's basis
+    products (Order.products), and are not kept.
     Raises ValueError for an unknown gate, part = 0 or a den that is not a
     power of p.
     """
@@ -695,26 +715,33 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
     starts; saturation runs from the first one accepted:
       * radical: start, then _polygon_start(field, p), whichever _start_order
         accepts first, else Z[beta]; the table formed by the check serves
-        the first radical round;
+        the first radical round, or a class certificate when the
+        discriminant settles the start;
       * enumerate: Z[beta], returned with no round, when Dedekind's test
         finds it p-maximal; else start, if _integral_start accepts it; else
         Dedekind's order.  No multiplication table is read.
     An accepted start need not be p-maximal: the rounds saturate it further.
 
-    The enumerate strategy ends with a sweep of every projective point of
-    the trace-form kernel mod p, so it is out of reach (and with it
-    --strategy both) where that kernel is large: at (n, t, p) = (11, 1, 11)
-    Dedekind's order is already 11-maximal, but the stopping sweep faces a
-    9-dimensional kernel, about 2.4e8 points.
+    Before each round, the loop of either strategy asks _discriminant_settles,
+    which reads only disc(f) and the HNF diagonal: where v_p of the
+    lattice's discriminant is below 2, the lattice is the p-maximal order
+    and no round runs, at Z[beta] before any start is tried too.  Otherwise
+    rounds run until one finds nothing.  An enumerate round that finds
+    nothing sweeps every projective point of the trace-form kernel mod p, so
+    the strategy is out of reach (and with it --strategy both) where that
+    kernel is large and the discriminant does not settle the lattice: at
+    (n, t, p) = (11, 1, 11) Dedekind's order is already 11-maximal, but the
+    sweep faces a 9-dimensional kernel, about 2.4e8 points.
     """
-    if p_adic_valuation(field.disc, p) < 2:
-        return power_order(field)  # index^2 divides the discriminant, so p cannot divide it
+    z_beta = power_order(field)
+    if _discriminant_settles(z_beta, p):
+        return z_beta
     if strategy == "enumerate":
         m, u = _dedekind_test(field, p)
         if not m:
-            return power_order(field)
+            return z_beta
         order = (None if start is None else _integral_start(Order(field, *start))) or _dedekind_order(field, p, u)
-        while (enlarged := _enumerate_round(order, p)) is not None:
+        while not _discriminant_settles(order, p) and (enlarged := _enumerate_round(order, p)) is not None:
             order = enlarged
         return order
     order = None if start is None else _start_order(Order(field, *start))
@@ -722,8 +749,8 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
         polygon = _polygon_start(field, p)
         order = None if polygon is None else _start_order(polygon)
     if order is None:
-        order = power_order(field)
-    while (enlarged := _radical_round(order, p)) is not None:
+        order = z_beta
+    while not _discriminant_settles(order, p) and (enlarged := _radical_round(order, p)) is not None:
         order = enlarged
     return order
 
@@ -819,11 +846,12 @@ def denominator_bound(n: int) -> int:
 
     3 * s^2 is the largest power of 3 that divides any Q(t): 3 divides
     u^2 + u + 1 at most once, which is Q(u) at s = 1, and at s = 3 Q(t) is
-    prime to 3 unless t = 3u, where it is 9 * (u^2 + u + 1).  So B_n is the front of disc(f_t) = discriminant_front(n) * Q(t)^(n-1)
-    times one copy of the largest 3-part of Q.  C bounds the denominator of every algebraic integer over the
-    power basis (the exponent of O/Z[beta]); the index itself can exceed it
-    in 3-power when 3 divides the parameter quadratic, since the
-    discriminant carries n-1 copies of that quadratic.
+    prime to 3 unless t = 3u, where it is 9 * (u^2 + u + 1).  So B_n is the
+    front of disc(f_t) = discriminant_front(n) * Q(t)^(n-1) times one copy
+    of the largest 3-part of Q.  C bounds the denominator of every algebraic
+    integer over the power basis (the exponent of O/Z[beta]); the index
+    itself can exceed it in 3-power when 3 divides the parameter quadratic,
+    since the discriminant carries n-1 copies of that quadratic.
     """
     if n < 2:
         raise ValueError("degree must be at least 2")

@@ -266,9 +266,11 @@ def _scan_slice(args) -> tuple[list[tuple[int, Fingerprint]], list[tuple[int, st
     strategy, certified there; its later members take that order.  A
     certificate reads d + 2 <= n + 1 sample tables, fewer as v grows (see
     orders.class_certificate), and certifies the saturated order at t0,
-    whose table the stopping round formed (Order.table) and whose basis
-    products serve the other samples; the threshold stays at n members
-    whatever d is.  Other classes are saturated member by member,
+    whose table (Order.table) the round that found nothing formed, or the
+    start check where the discriminant settled an accepted start, or else
+    the certificate itself, and whose basis products serve the other
+    samples; the threshold stays at n members whatever d is.  Other classes
+    are saturated member by member,
     from the last p-maximal order with den > 1 of the class when p^v > 1
     (see orders._saturate for the starts it tries); that start is kept as a
     fingerprint, since an Order per class would keep its table and basis

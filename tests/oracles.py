@@ -28,8 +28,10 @@ of the monic irreducibles that divide it, found by trial division, the
 CLI document text is the json module's json.dumps(indent=2) of a copy of
 the payload in JSON types, computed again from the parsed command line, the
 Moebius matrix order multiplies out the powers of the 2x2 matrix instead of
-reading the Cayley-Hamilton recurrence, and the shifted companion sums its n
-products of powers instead of telescoping.
+reading the Cayley-Hamilton recurrence, the shifted companion sums its n
+products of powers instead of telescoping, and p-maximal saturation runs
+each round loop to a round that finds nothing instead of stopping where the
+discriminant of the lattice shows it p-maximal.
 """
 
 import json
@@ -39,6 +41,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
+import pytest
+
+from simplestfields import orders as orders_module
 from simplestfields._kernels import hnf_rows, solve_lower_coords, vec_reduce_mod_rows, zx_divexact, zx_mulmod
 from simplestfields.family import SpecializedPoly, _pencil, disc_quadratic, specialize
 from simplestfields.linalg import left_kernel_mod_p, mat_shape
@@ -64,11 +69,18 @@ from simplestfields.numutil import (
 from simplestfields.orders import (
     _combine,
     _contains_power_basis,
+    _dedekind_order,
+    _dedekind_test,
+    _enumerate_round,
     _key_code,
     _mult_table,
+    _polygon_start,
     _radical_kernel,
+    _radical_round,
+    _start_order,
     _table_key,
     make_order,
+    p_maximal_order,
     power_order,
 )
 from simplestfields.periodicity import _trace_matrix
@@ -834,3 +846,78 @@ def summed_shifted_companion_poly(n: int) -> Poly:
     for i in range(n):
         total = total + x_minus_s ** (n - 1 - i) * x**i
     return total
+
+
+def stopping_round_saturation(field, p: int, strategy: str):
+    """orders.p_maximal_order with no discriminant stop in its round loops:
+    Z[beta] where v_p(disc f) < 2 or, under enumerate, where Dedekind's test
+    finds it p-maximal; otherwise the same start as _saturate (Dedekind's
+    order, or the accepted polygon start, else Z[beta]) and rounds until one
+    finds nothing.  Returns (order, rounds), that last round counted."""
+    if p_adic_valuation(field.disc, p) < 2:
+        return power_order(field), 0
+    if strategy == "enumerate":
+        m, u = _dedekind_test(field, p)
+        if not m:
+            return power_order(field), 0
+        order, step = _dedekind_order(field, p, u), _enumerate_round
+    else:
+        polygon = _polygon_start(field, p)
+        order = (None if polygon is None else _start_order(polygon)) or power_order(field)
+        step = _radical_round
+    rounds = 1
+    while (enlarged := step(order, p)) is not None:
+        order, rounds = enlarged, rounds + 1
+    return order, rounds
+
+
+def check_discriminant_stops(cases, strategy: str) -> tuple[int, int, int]:
+    """Check p_maximal_order(field, p, strategy) against
+    stopping_round_saturation for every (field, p) in cases, and check that
+    the round skipped wherever the discriminant stop ended a round loop (at
+    a lattice with den > 1) finds nothing.
+
+    Saturation and the oracle read one memo of rounds, keyed on the field,
+    the lattice and p, so the oracle runs only the rounds that saturation
+    skipped: the rounds have oracles of their own, and what is compared
+    here is where each loop stops.  Returns (stops, rounds, oracle_rounds),
+    summed over the cases: the loops the discriminant ended, the rounds
+    saturation ran, and the rounds the oracle runs."""
+    name = "_enumerate_round" if strategy == "enumerate" else "_radical_round"
+    real_round = getattr(orders_module, name)
+    real_settles = orders_module._discriminant_settles
+    memo = {}
+    settled = []
+    rounds = [0]
+
+    def memoized(order, p):
+        key = (order.field.n, order.field.t, order.fingerprint, p)
+        if key not in memo:
+            memo[key] = real_round(order, p)
+        return memo[key]
+
+    def counted(order, p):
+        rounds[0] += 1
+        return memoized(order, p)
+
+    def recording(lattice, p):
+        out = real_settles(lattice, p)
+        if out and lattice.den > 1:
+            settled.append(lattice)
+        return out
+
+    stops = oracle_rounds = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders_module, name, counted)
+        mp.setattr(orders_module, "_discriminant_settles", recording)
+        mp.setitem(globals(), name, memoized)
+        for field, p in cases:
+            settled.clear()
+            order = p_maximal_order(field, p, strategy)
+            for lattice in settled:
+                assert memoized(lattice, p) is None, ("a skipped round enlarges", field.n, field.t, p, strategy)
+            stops += len(settled)
+            expected, taken = stopping_round_saturation(field, p, strategy)
+            assert order == expected, (field.n, field.t, p, strategy)
+            oracle_rounds += taken
+    return stops, rounds[0], oracle_rounds

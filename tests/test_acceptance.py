@@ -42,6 +42,8 @@ from simplestfields.periodicity import (
 )
 from simplestfields.poly import Poly, discriminant, resultant
 
+from oracles import check_discriminant_stops
+
 
 def _verdict(num: int, name: str, ok: bool, elapsed: float, budget: float) -> None:
     status = "PASS" if ok else "FAIL"
@@ -258,6 +260,19 @@ def test_criterion_9_final_period_table(period_scans):
     ok = ok and small < 600 and timing[8] < 1800 and timing[12] < 7200
     total = sum(timing.values())
     _verdict(9, "final period table scans with minimality witnesses", ok, total, 600 + 1800 + 7200)
+
+
+def test_discriminant_stop_enumerate_degree_10_odd_primes():
+    """The part of test_integrality's discriminant-stop sweep left out there
+    for time: enumerate at n = 10, p = 3 and 5, every gate-passing |t| <= 40,
+    against saturation run to a round that finds nothing.  The stop never
+    fires there, so every field still takes its full stopping sweep."""
+    t0 = time.monotonic()
+    cases = [(number_field(10, t), p) for t in range(-40, 41) if parameter_gate(10, t)[0] for p in (3, 5)]
+    stops, rounds, oracle_rounds = check_discriminant_stops(cases, "enumerate")
+    assert stops == 0 and rounds == oracle_rounds
+    elapsed = time.monotonic() - t0
+    assert elapsed < 120, f"the degree-10 stop sweep exceeded its 120s budget ({elapsed:.1f}s)"
 
 
 def test_criterion_10_degenerate_parameters():

@@ -54,6 +54,7 @@ from oracles import (
     brute_force_form_candidates,
     brute_force_fp_radical,
     brute_force_trace_candidates,
+    check_discriminant_stops,
     fraction_shifted_min_poly,
     matrix_trace_powers,
     power_basis_radical_round,
@@ -829,9 +830,10 @@ def test_enumerate_takes_no_round_where_z_beta_is_p_maximal(monkeypatch):
 
 def test_radical_never_consults_dedekind(monkeypatch):
     """Radical saturation, class certificates and radical period scans never
-    read Dedekind's test or order, so in --strategy both the radical
-    stopping test checks every verdict the enumerate strategy takes from
-    Dedekind."""
+    read Dedekind's test or order, so in --strategy both every verdict the
+    enumerate strategy takes from Dedekind is checked by a radical
+    saturation that ends at a round that finds nothing or at the
+    discriminant bound, neither of which reads Dedekind."""
 
     def refusing(name):
         def refused(*args):
@@ -847,6 +849,42 @@ def test_radical_never_consults_dedekind(monkeypatch):
             p_maximal_order(field, p, "radical")
         integral_basis(field)
     period_scan(8, 432, range(-60, 61))
+
+
+def _stop_cases(n, primes):
+    """(field, p) for every gate-passing |t| <= 40 and every p in primes."""
+    return [(number_field(n, t), p) for t in range(-40, 41) if parameter_gate(n, t)[0] for p in primes]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_discriminant_stop_matches_stopping_rounds(strategy):
+    """With the discriminant stop, saturation gives the order of saturation
+    run to a round that finds nothing (oracles.stopping_round_saturation), and
+    every round the stop skipped finds nothing: every gate-passing |t| <= 40
+    and candidate prime, radical at n = 2..12 and enumerate at n = 2, 4, 6
+    and 10 (at n = 10 only p = 2: the full sweeps at p = 3 and 5, where the
+    stop never fires, take about 20 s and run in test_acceptance).  The stop
+    ends round loops at (n, p) = (2, 2), (4, 3), (6, 2), (6, 3) and (10, 2)
+    only, never at n = 8 or 12."""
+    degrees = range(2, 13) if strategy == "radical" else (2, 4, 6, 10)
+    fired = set()
+    for n in degrees:
+        for p in candidate_primes(n):
+            if strategy == "enumerate" and n == 10 and p != 2:
+                continue
+            if check_discriminant_stops(_stop_cases(n, [p]), strategy)[0]:
+                fired.add((n, p))
+    assert fired == {(2, 2), (4, 3), (6, 2), (6, 3), (10, 2)}
+
+
+def test_discriminant_stop_round_counts():
+    """At n = 6, every gate-passing |t| <= 40 and both candidate primes (104
+    saturations per strategy), the stop ends 77 round loops under each
+    strategy, and saturation runs 52 radical rounds instead of 129, and 104
+    enumerate sweeps instead of 181."""
+    cases = _stop_cases(6, candidate_primes(6))
+    assert check_discriminant_stops(cases, "radical") == (77, 52, 129)
+    assert check_discriminant_stops(cases, "enumerate") == (77, 104, 181)
 
 
 def test_integrality_test_takes_n_minus_one_products(monkeypatch):
