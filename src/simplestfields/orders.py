@@ -25,6 +25,16 @@ each other's oracle:
     (_radical), which a _radical_kernel miss asks: tables that differ mod
     p^2 often agree mod p.
 
+The steps on Z[beta] read only f mod p^2, and f_t = G_n + t * R_n / s is
+linear in t, so they recur with t mod p^2 and are memoized on those
+residues too: Dedekind's test (_dedekind_criterion), the HNF of Dedekind's
+order (_dedekind_hnf, on (p, n, U); U(beta) / p is still tested for
+integrality in every field), the _radical_kernel key of Z[beta]'s table,
+whose cells are beta^(i+j) mod (f, p^2) (_power_table_key), and the order
+that a kernel enlarges Z[beta] to (_power_enlarged, on (p, n, kernel)).  So
+a round on Z[beta] forms no table, and every radical round still asks
+_radical_kernel.
+
 The multiplication table has one layout, owned by this module: _mult_table
 returns the flat vector of the cells T[i][j] with i <= j, row by row (T is
 symmetric, so they are all of it), and Order.table forms it once per
@@ -44,9 +54,10 @@ p-maximality for every s.  A period scan certifies each large enough class
 with it (see periodicity), handing it the order at t0 that saturation
 returned: its table is the first sample, and its basis products, formed for
 that table, serve the other d + 1.  That table was formed by the round that
-found nothing, when one ran on the order; by the start check, when the
-discriminant settled an accepted start; and otherwise (Z[beta], or a round's
-output that the discriminant settled) by the certificate itself.
+found nothing, when one ran on an order other than Z[beta]; by the start
+check, when the discriminant settled an accepted start; and otherwise
+(Z[beta], or a round's output that the discriminant settled) by the
+certificate itself.
 
 The saturation loop (_saturate) may start from an order other than
 Z[beta]: the p-maximal order of another parameter, which a period scan
@@ -183,9 +194,9 @@ class Order(_Lattice):
         return _mult_table(self, self.field.poly.coeffs)
 
 
-def make_order(field: NumberField, den: int, rows) -> Order:
-    """Canonicalize a generating set over a common denominator into an Order."""
-    n = field.n
+def _canonical(n: int, den: int, rows) -> Fingerprint:
+    """The fingerprint (den, HNF) of the lattice that rows over den generate,
+    with den as small as the rows allow."""
     basis = hnf_rows([list(r) for r in rows], n)
     if len(basis) != n:
         raise ValueError("generating set does not span a full lattice")
@@ -198,13 +209,27 @@ def make_order(field: NumberField, den: int, rows) -> Order:
     den //= g
     if basis[0] != [den] + [0] * (n - 1):
         raise AssertionError("order does not contain 1 with minimal denominator")
-    return Order(field, den, tuple(tuple(r) for r in basis))
+    return den, tuple(tuple(r) for r in basis)
+
+
+def make_order(field: NumberField, den: int, rows) -> Order:
+    """Canonicalize a generating set over a common denominator into an Order."""
+    return Order(field, *_canonical(field.n, den, rows))
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def power_order(field: NumberField) -> Order:
     """Z[beta] itself."""
-    n = field.n
-    return Order(field, 1, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return Order(field, 1, _identity(field.n))
+
+
+def _mod_square(field: NumberField, p: int) -> tuple[int, ...]:
+    """The coefficients of f mod p^2, the key of the memos on Z[beta]."""
+    pp = p * p
+    return tuple(x % pp for x in field.poly.coeffs)
 
 
 def order_discriminant(o: Order) -> int:
@@ -353,6 +378,38 @@ def _radical_kernel(p: int, n: int, key: bytes) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_combine(c, rad, p)) for c in left_kernel_mod_p(conditions, p))
 
 
+@lru_cache(maxsize=1024)
+def _power_table_key(p: int, f: tuple[int, ...]) -> bytes:
+    """_table_key(p, _mult_table(Z[beta], f)) from f mod p^2 alone: the cell
+    T[i][j] of Z[beta] is beta^(i+j) mod f, and beta^(k+1) = beta * beta^k
+    mod (f, p^2)."""
+    pp = p * p
+    n = len(f) - 1
+    powers = list(_identity(n))
+    for _ in range(n - 1):
+        last = powers[-1]
+        powers.append(tuple(((last[i - 1] if i else 0) - last[-1] * f[i]) % pp for i in range(n)))
+    return _table_key(p, [x for i in range(n) for j in range(i, n) for x in powers[i + j]])
+
+
+def _enlarged(p: int, den: int, basis, kernel) -> Fingerprint:
+    """The order over p * den that the kernel vectors y of a multiplier-ring
+    step generate as numerators y . basis, together with p * basis."""
+    n = len(basis)
+    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
+    rows += [[p * x for x in row] for row in basis]
+    enlarged = _canonical(n, p * den, rows)
+    if enlarged == (den, basis):
+        raise AssertionError(f"a nonempty multiplier kernel did not enlarge the order (p={p})")
+    return enlarged
+
+
+@lru_cache(maxsize=1024)
+def _power_enlarged(p: int, n: int, kernel: tuple[tuple[int, ...], ...]) -> Fingerprint:
+    """_enlarged for Z[beta], which reads nothing of f."""
+    return _enlarged(p, 1, _identity(n), kernel)
+
+
 def _radical_round(order: Order, p: int) -> Order | None:
     """One multiplier-ring step on the multiplication table of the order;
     None when the order is already p-maximal (Cohen, GTM 138, Algorithm 6.1.8).
@@ -360,21 +417,16 @@ def _radical_round(order: Order, p: int) -> Order | None:
     kernel vector y != 0 mod p puts y / p outside the order, which must grow.
 
     The step over F_p is _radical_kernel, memoized on T mod p^2: the round
-    packs order.table into its key and lifts the kernel vectors y it
-    returns to the numerators y . basis, which with p * basis generate the
-    enlarged order over p * den.
+    packs order.table into its key, or for Z[beta] (den 1) reads the key off
+    f mod p^2, and lifts the kernel vectors y it returns to the enlarged
+    order (_enlarged).
     """
     n = order.n
+    if order.den == 1:  # Z[beta], the only lattice over 1 that contains it
+        kernel = _radical_kernel(p, n, _power_table_key(p, _mod_square(order.field, p)))
+        return Order(order.field, *_power_enlarged(p, n, kernel)) if kernel else None
     kernel = _radical_kernel(p, n, _table_key(p, order.table))
-    if not kernel:
-        return None
-    basis = order.basis
-    rows = [[sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)] for y in kernel]
-    rows += [[p * x for x in row] for row in basis]
-    enlarged = make_order(order.field, p * order.den, rows)
-    if enlarged.fingerprint == order.fingerprint:
-        raise AssertionError(f"a nonempty multiplier kernel did not enlarge the order (p={p})")
-    return enlarged
+    return Order(order.field, *_enlarged(p, order.den, order.basis, kernel)) if kernel else None
 
 
 def _projective_vectors(n: int, p: int):
@@ -568,27 +620,40 @@ def _dedekind_test(field: NumberField, p: int) -> tuple[int, list[int]]:
     lifted, gives the multiplier ring of the p-radical of Z[beta]:
     Z[beta] + (U(beta) / p) Z[beta], of index p^m (_dedekind_order).
     """
-    f = field.poly.coeffs
+    m, u = _dedekind_criterion(p, _mod_square(field, p))
+    return m, list(u)
+
+
+@lru_cache(maxsize=1024)
+def _dedekind_criterion(p: int, f: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """_dedekind_test from f mod p^2, all that F mod p reads."""
     fbar = _fp_trim(f, p)
     g = _fp_radical(fbar, p)
     h = _fp_divmod(fbar, g, p)[0]
     big_f = [(x - y) // p for x, y in zip(f, zx_mul(g, h))]  # f = g h mod p, both monic of degree n
     z = _fp_gcd(_fp_gcd(big_f, g, p), h, p)
-    return len(z) - 1, _fp_divmod(fbar, z, p)[0]
+    return len(z) - 1, tuple(_fp_divmod(fbar, z, p)[0])
 
 
 def _dedekind_order(field: NumberField, p: int, u: list[int]) -> Order:
     """Z[beta] + (U(beta) / p) Z[beta] for (m, U) = _dedekind_test(field, p)
     with m = n - deg U > 0: spanned over p by U beta^i, i < m (degree
     n - m + i < n, so no reduction), and p beta^i.  U(beta) / p must be an
-    algebraic integer; then so is each U beta^i / p, so it alone is tested."""
+    algebraic integer; then so is each U beta^i / p, so it alone is tested,
+    on every call.  The HNF reads only (p, n, U) and is memoized on them."""
     n = field.n
-    m = n + 1 - len(u)
-    rows = [[0] * i + u + [0] * (m - 1 - i) for i in range(m)]
-    if not is_algebraic_integer(field_elt(field, rows[0], p)):
+    if not is_algebraic_integer(field_elt(field, u + [0] * (n - len(u)), p)):
         raise AssertionError(f"Dedekind's order at p={p} is not integral")
+    return Order(field, *_dedekind_hnf(p, n, tuple(u)))
+
+
+@lru_cache(maxsize=1024)
+def _dedekind_hnf(p: int, n: int, u: tuple[int, ...]) -> Fingerprint:
+    """The fingerprint of _dedekind_order, which reads nothing of f but U."""
+    m = n + 1 - len(u)
+    rows = [[0] * i + list(u) + [0] * (m - 1 - i) for i in range(m)]
     rows += [[p if j == i else 0 for j in range(n)] for i in range(n)]
-    return make_order(field, p, rows)
+    return _canonical(n, p, rows)
 
 
 def _start_order(order: Order) -> Order | None:
@@ -657,9 +722,9 @@ def class_certificate(order: Order, p: int, part: int, gate: str = "strict") -> 
     scan hands the order over with it formed by the round that found
     nothing, or by the start check where the discriminant settled an
     accepted start, and where neither ran (the discriminant settled Z[beta]
-    or a round's output) it is formed here.  The other d + 1 come from
-    specialize (no field is built or cached), share the order's basis
-    products (Order.products), and are not kept.
+    or a round's output, or the round ran on Z[beta]) it is formed here.
+    The other d + 1 come from specialize (no field is built or cached),
+    share the order's basis products (Order.products), and are not kept.
     Raises ValueError for an unknown gate, part = 0 or a den that is not a
     power of p.
     """
@@ -721,6 +786,7 @@ def _saturate(field: NumberField, p: int, strategy: str, start=None) -> Order:
         finds it p-maximal; else start, if _integral_start accepts it; else
         Dedekind's order.  No multiplication table is read.
     An accepted start need not be p-maximal: the rounds saturate it further.
+    The steps on Z[beta] are memoized on f mod p^2 (module docstring).
 
     Before each round, the loop of either strategy asks _discriminant_settles,
     which reads only disc(f) and the HNF diagonal: where v_p of the

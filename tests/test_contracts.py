@@ -114,25 +114,30 @@ def _library_caches() -> dict:
 def test_caches_leave_no_trace_in_a_result(capsys):
     """A period scan in a process whose caches are all empty and the same scan
     right after it, with every cache warm, print the same document apart from
-    timing_ms: no memo may change a result."""
+    timing_ms: no memo may change a result.  The radical scan recalls radical
+    kernels and the steps on Z[beta], the enumerate scan Dedekind's tests and
+    orders."""
     caches = _library_caches()
-    assert {
-        "numberfield.number_field",
-        "numberfield.quadratic_factorization",
-        "orders._radical_kernel",
-        "numutil._sieve",
+    recalled = {
+        "radical": ["_radical_kernel", "_power_table_key", "_power_enlarged"],
+        "enumerate": ["_dedekind_criterion", "_dedekind_hnf"],
+    }
+    assert {"numberfield.number_field", "numberfield.quadratic_factorization", "numutil._sieve"} | {
+        f"orders.{name}" for names in recalled.values() for name in names
     } <= set(caches)
-    argv = ["period-scan", "--n", "6", "--modulus", "36", "--t-min", "-60", "--t-max", "60"]
-    docs = []
-    for clear in (True, False):
-        if clear:
-            for cache in caches.values():
-                cache.cache_clear()
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        docs.append("\n".join(line for line in lines if not line.startswith('  "timing_ms":')))
-    assert caches["orders._radical_kernel"].cache_info().hits > 0
-    assert docs[0] == docs[1]
+    for strategy, names in recalled.items():
+        argv = ["period-scan", "--n", "6", "--modulus", "36", "--t-min", "-60", "--t-max", "60", "--strategy", strategy]
+        docs = []
+        for clear in (True, False):
+            if clear:
+                for cache in caches.values():
+                    cache.cache_clear()
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            docs.append("\n".join(line for line in lines if not line.startswith('  "timing_ms":')))
+        for name in names:
+            assert caches[f"orders.{name}"].cache_info().hits > 0, (strategy, name)
+        assert docs[0] == docs[1], strategy
 
 
 def _fresh_stdout(code: str) -> str:

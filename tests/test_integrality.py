@@ -803,6 +803,79 @@ def test_dedekind_order_rejects_a_corrupted_u(monkeypatch):
             _dedekind_order(field, p, [u[0] + 1] + u[1:])
 
 
+def test_z_beta_memos_match_the_uncached_steps():
+    """Dedekind's test and order, the _radical_kernel key of Z[beta] and the
+    round on Z[beta] are memoized on f mod p^2.  Over n = 2..12, gate-passing
+    |t| <= 40 and every candidate prime, each memoized result equals the
+    step computed from the whole of f: (m, U) and the HNF of Dedekind's order
+    with no memo, the key from Z[beta]'s multiplication table, and Dedekind's
+    order from the round.  Fields with t = t' mod p^2 get the same results,
+    for 1102 such pairs, and the round on the first field of each class
+    equals the power-basis oracle."""
+    pairs = 0
+    for n in range(2, 13):
+        ts = [t for t in range(-40, 41) if parameter_gate(n, t)[0]]
+        for p in candidate_primes(n):
+            seen = {}
+            for t in ts:
+                field = number_field(n, t)
+                z_beta = power_order(field)
+                m, u = _dedekind_test(field, p)
+                assert (m, tuple(u)) == orders._dedekind_criterion.__wrapped__(p, field.poly.coeffs), (n, t, p)
+                enlarged = _radical_round(z_beta, p)
+                if t % (p * p) not in seen:
+                    assert enlarged == power_basis_radical_round(field, z_beta, p), (n, t, p)
+                if m:
+                    dedekind = _dedekind_order(field, p, u)
+                    assert dedekind == enlarged, (n, t, p)
+                    assert dedekind.fingerprint == orders._dedekind_hnf.__wrapped__(p, n, tuple(u)), (n, t, p)
+                key = orders._power_table_key(p, orders._mod_square(field, p))
+                assert key == orders._table_key(p, orders._mult_table(z_beta, field.poly.coeffs)), (n, t, p)
+                result = (m, u, key, enlarged and enlarged.fingerprint)
+                pairs += t % (p * p) in seen
+                assert seen.setdefault(t % (p * p), result) == result, (n, t, p)
+    assert pairs == 1102
+
+
+def test_dedekind_order_tests_integrality_with_the_memo_warm(monkeypatch):
+    """The HNF of Dedekind's order is recalled for fields that share (p, n, U),
+    t = t' mod p^2, but U(beta) / p is still tested once per call."""
+    calls = [0]
+    real = orders.is_algebraic_integer
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(orders, "is_algebraic_integer", counted)
+    for n, p in ((6, 2), (10, 2), (12, 3)):
+        ts = [t for t in range(-40, 41) if parameter_gate(n, t)[0] and _dedekind_test(number_field(n, t), p)[0]]
+        t = next(t for t in ts if t + p * p in ts)
+        hits = orders._dedekind_hnf.cache_info().hits
+        calls[0] = 0
+        for member in (t, t + p * p, t, t + p * p):
+            field = number_field(n, member)
+            assert _dedekind_order(field, p, _dedekind_test(field, p)[1]) == _radical_round(power_order(field), p)
+        assert calls[0] == 4, (n, p)
+        assert orders._dedekind_hnf.cache_info().hits >= hits + 3, (n, p)
+
+
+def test_agree_fields_recall_the_z_beta_steps():
+    """The fields of the agree benchmark at seed 0, the 166 gate-passing
+    n = 6 parameters nearest 0, each saturated by both strategies from cold
+    memos: they have 10 distinct Dedekind tests among 332, 4 HNFs of
+    Dedekind's order among 247, 4 Z[beta] keys among 166 and 2 enlargements
+    of Z[beta] among 81."""
+    memos = (orders._dedekind_criterion, orders._dedekind_hnf, orders._power_table_key, orders._power_enlarged)
+    for memo in memos:
+        memo.cache_clear()
+    ts = sorted((t for t in range(-200, 201) if parameter_gate(6, t)[0]), key=lambda t: (abs(t), t))[:166]
+    for t in ts:
+        for strategy in STRATEGIES:
+            integral_basis(number_field(6, t), strategy)
+    assert [tuple(memo.cache_info())[:2] for memo in memos] == [(322, 10), (243, 4), (162, 4), (79, 2)]
+
+
 def test_enumerate_takes_no_round_where_z_beta_is_p_maximal(monkeypatch):
     """At (n, t, p) = (7, 29, 7), (7, 3, 7), (6, -38, 2) and (11, -40, 11),
     p^2 divides the discriminant but Z[beta] is p-maximal: Dedekind's test
